@@ -25,7 +25,7 @@ func skewedManager(b testing.TB, disableCancel bool) (*depsky.Manager, []*clouds
 	for i := range providers {
 		opts := cloudsim.Options{Name: fmt.Sprintf("c%d", i)}
 		if i == 3 {
-			opts.Latency = cloudsim.LatencyProfile{RTT: stragglerRTT}
+			opts.Latency, opts.LatencyScale = cloudsim.LatencyProfile{RTT: stragglerRTT}, 1
 		}
 		providers[i] = cloudsim.NewProvider(opts)
 		accounts[i] = providers[i].CreateAccount("bench")

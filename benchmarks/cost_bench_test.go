@@ -28,8 +28,9 @@ func writeBenchManager(b testing.TB, disableCancel bool) (*depsky.Manager, []*cl
 	accounts := make([]string, len(kinds))
 	for i, kind := range kinds {
 		providers[i] = cloudsim.NewProvider(cloudsim.Options{
-			Name:    string(kind),
-			Latency: cloudsim.LatencyProfile{RTT: rtt},
+			Name:         string(kind),
+			Latency:      cloudsim.LatencyProfile{RTT: rtt},
+			LatencyScale: 1,
 		})
 		accounts[i] = providers[i].CreateAccount("bench")
 		clients[i] = countingStore{ObjectStore: providers[i].MustClient(accounts[i]), n: issued}

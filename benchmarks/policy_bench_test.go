@@ -49,7 +49,7 @@ func hedgedBenchManager(b testing.TB, disableCancel, instrumented bool) (*depsky
 	for i := range providers {
 		opts := cloudsim.Options{Name: fmt.Sprintf("c%d", i)}
 		if i == 3 {
-			opts.Latency = cloudsim.LatencyProfile{RTT: stragglerRTT}
+			opts.Latency, opts.LatencyScale = cloudsim.LatencyProfile{RTT: stragglerRTT}, 1
 		}
 		providers[i] = cloudsim.NewProvider(opts)
 		accounts[i] = providers[i].CreateAccount("bench")
@@ -187,8 +187,9 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 			clients := make([]cloud.ObjectStore, 4)
 			for i := range providers {
 				providers[i] = cloudsim.NewProvider(cloudsim.Options{
-					Name:    fmt.Sprintf("c%d", i),
-					Latency: cloudsim.LatencyProfile{RTT: chunkRTT},
+					Name:         fmt.Sprintf("c%d", i),
+					Latency:      cloudsim.LatencyProfile{RTT: chunkRTT},
+					LatencyScale: 1,
 				})
 				clients[i] = providers[i].MustClient(providers[i].CreateAccount("bench"))
 			}

@@ -16,8 +16,7 @@ import (
 func TestCostReportAndDollarGC(t *testing.T) {
 	// Explicit zero-latency providers: instant and read-after-write
 	// consistent, so the GC sweep deterministically resolves every doomed
-	// version (the default simulated deployment has eventual-consistency
-	// windows that can hide the newest metadata from a sweep).
+	// version whatever WithSimulatedLatency's default.
 	stores := make([]scfs.ObjectStore, 4)
 	for i := range stores {
 		p := cloudsim.NewProvider(cloudsim.Options{Name: fmt.Sprintf("c%d", i)})

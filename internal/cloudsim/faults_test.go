@@ -156,8 +156,9 @@ func TestFaultHangParksUntilCancel(t *testing.T) {
 func TestFaultSlowLatencyFactor(t *testing.T) {
 	clk := clock.NewSim(time.Unix(0, 0))
 	p, c := faultTestClient(t, Options{
-		Clock:   clk,
-		Latency: LatencyProfile{RTT: 10 * time.Millisecond},
+		Clock:        clk,
+		Latency:      LatencyProfile{RTT: 10 * time.Millisecond},
+		LatencyScale: 1,
 	})
 	p.SetFaults(FaultSpec{Mode: FaultSlow, LatencyFactor: 4})
 

@@ -92,9 +92,8 @@ type Options struct {
 	Name string
 	// Latency is the network model. Zero value means no simulated latency.
 	Latency LatencyProfile
-	// LatencyScale multiplies every simulated delay; 0 means 1.0. Tests use
-	// 0 latency or tiny scales; `scfs-bench -scale 1` reproduces the paper's
-	// absolute magnitudes.
+	// LatencyScale multiplies every simulated delay, consistency windows
+	// included: 0 means instant, 1.0 the profile's absolute magnitudes.
 	LatencyScale float64
 	// ConsistencyWindow is how long a freshly written object version may
 	// remain invisible to readers (eventual consistency). Zero gives
@@ -160,9 +159,6 @@ type Provider struct {
 func NewProvider(opts Options) *Provider {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real()
-	}
-	if opts.LatencyScale == 0 {
-		opts.LatencyScale = 1.0
 	}
 	if opts.Name == "" {
 		opts.Name = "cloud"

@@ -217,6 +217,7 @@ func TestEventualConsistencyWindow(t *testing.T) {
 	p := NewProvider(Options{
 		Name:              "ec",
 		ConsistencyWindow: 10 * time.Second,
+		LatencyScale:      1,
 		Clock:             clk,
 		Seed:              7,
 	})
@@ -238,7 +239,7 @@ func TestEventualConsistencyWindow(t *testing.T) {
 
 func TestEventualConsistencyServesStaleVersion(t *testing.T) {
 	clk := clock.NewSim(time.Unix(1000, 0))
-	p := NewProvider(Options{Name: "ec", ConsistencyWindow: 10 * time.Second, Clock: clk, Seed: 42})
+	p := NewProvider(Options{Name: "ec", ConsistencyWindow: 10 * time.Second, LatencyScale: 1, Clock: clk, Seed: 42})
 	c := p.MustClient(p.CreateAccount("alice"))
 	if err := c.Put(bg, "obj", []byte("v1")); err != nil {
 		t.Fatal(err)
@@ -388,9 +389,10 @@ func TestInboundTrafficIsMeteredSeparatelyFromOutbound(t *testing.T) {
 func TestLatencySimulationWithSimClock(t *testing.T) {
 	clk := clock.NewSim(time.Unix(0, 0))
 	p := NewProvider(Options{
-		Name:    "latency",
-		Latency: LatencyProfile{RTT: 100 * time.Millisecond},
-		Clock:   clk,
+		Name:         "latency",
+		Latency:      LatencyProfile{RTT: 100 * time.Millisecond},
+		LatencyScale: 1,
+		Clock:        clk,
 	})
 	c := p.MustClient(p.CreateAccount("alice"))
 	done := make(chan error, 1)

@@ -80,7 +80,9 @@ type Service interface {
 	// DeleteMetadata removes the record under key (no error if absent).
 	DeleteMetadata(ctx context.Context, key string) error
 	// ListMetadata returns all records whose key starts with prefix and
-	// which the caller may read.
+	// which the caller may read. The service filters by prefix: the
+	// DepSpace backend does it on its replicas, so a listing's reply
+	// carries only the answer.
 	ListMetadata(ctx context.Context, prefix string) ([]Record, error)
 	// RenamePrefix atomically rewrites oldPrefix to newPrefix in the keys of
 	// matching records and returns how many were rewritten.

@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"scfs/internal/depspace"
@@ -104,24 +103,20 @@ func (d *DepSpaceService) DeleteMetadata(ctx context.Context, key string) error 
 	return mapDepSpaceError(err)
 }
 
-// ListMetadata implements Service.
+// ListMetadata implements Service. The replicas filter by key prefix.
 func (d *DepSpaceService) ListMetadata(ctx context.Context, prefix string) ([]Record, error) {
 	d.addList()
-	entries, err := d.cli.RdAll(ctx, depspace.Tuple{tagMeta, depspace.Wildcard, depspace.Wildcard})
+	entries, err := d.cli.RdAll(ctx, depspace.Tuple{tagMeta, depspace.Wildcard, depspace.Wildcard}, prefix)
 	if err != nil {
 		return nil, mapDepSpaceError(err)
 	}
 	var out []Record
 	for _, e := range entries {
-		key := e.Tuple[1]
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
 		val, err := decodePayload(e.Tuple[2])
 		if err != nil {
 			continue
 		}
-		out = append(out, Record{Key: key, Value: val, Version: e.Version, ACL: fromDSACL(e.ACL)})
+		out = append(out, Record{Key: e.Tuple[1], Value: val, Version: e.Version, ACL: fromDSACL(e.ACL)})
 	}
 	return out, nil
 }

@@ -23,7 +23,7 @@ func newSkewedManager(t testing.TB, slow int, rtt time.Duration, chunkSize int) 
 	for i := range providers {
 		opts := cloudsim.Options{Name: fmt.Sprintf("c%d", i)}
 		if i == slow {
-			opts.Latency = cloudsim.LatencyProfile{RTT: rtt}
+			opts.Latency, opts.LatencyScale = cloudsim.LatencyProfile{RTT: rtt}, 1
 		}
 		providers[i] = cloudsim.NewProvider(opts)
 		clients[i] = providers[i].MustClient(providers[i].CreateAccount("alice"))
@@ -114,8 +114,9 @@ func TestCancellationIsPrompt(t *testing.T) {
 	clients := make([]cloud.ObjectStore, 4)
 	for i := range providers {
 		providers[i] = cloudsim.NewProvider(cloudsim.Options{
-			Name:    fmt.Sprintf("c%d", i),
-			Latency: cloudsim.LatencyProfile{RTT: 5 * time.Second},
+			Name:         fmt.Sprintf("c%d", i),
+			Latency:      cloudsim.LatencyProfile{RTT: 5 * time.Second},
+			LatencyScale: 1,
 		})
 		clients[i] = providers[i].MustClient(providers[i].CreateAccount("alice"))
 	}

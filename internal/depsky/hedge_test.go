@@ -23,8 +23,9 @@ func hedgeManager(t testing.TB, rtts []time.Duration, opts Options) (*Manager, [
 	accounts := make([]string, len(rtts))
 	for i, rtt := range rtts {
 		providers[i] = cloudsim.NewProvider(cloudsim.Options{
-			Name:    fmt.Sprintf("c%d", i),
-			Latency: cloudsim.LatencyProfile{RTT: rtt},
+			Name:         fmt.Sprintf("c%d", i),
+			Latency:      cloudsim.LatencyProfile{RTT: rtt},
+			LatencyScale: 1,
 		})
 		accounts[i] = providers[i].CreateAccount("test")
 		clients[i] = providers[i].MustClient(accounts[i])

@@ -121,9 +121,12 @@ func (c *Client) Rdp(ctx context.Context, template Tuple) (*Entry, error) {
 	return res.Entry, nil
 }
 
-// RdAll reads every tuple matching the template that the requester may read.
-func (c *Client) RdAll(ctx context.Context, template Tuple) ([]Entry, error) {
-	res, err := c.do(ctx, Command{Op: opRdAll, Template: template})
+// RdAll reads every tuple matching the template that the requester may read
+// and whose key (field 1) starts with prefix (an empty prefix admits all),
+// sorted field-wise. The replicas do the filtering, so the reply carries
+// only the answer.
+func (c *Client) RdAll(ctx context.Context, template Tuple, prefix string) ([]Entry, error) {
+	res, err := c.do(ctx, Command{Op: opRdAll, Template: template, Prefix: prefix})
 	if err != nil {
 		return nil, err
 	}

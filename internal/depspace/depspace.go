@@ -17,9 +17,10 @@
 package depspace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -49,20 +50,6 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
 // String renders the tuple for debugging.
 func (t Tuple) String() string { return "<" + strings.Join(t, ", ") + ">" }
-
-// Less orders tuples field-wise lexicographically. It exists so sorts over
-// large match sets (directory listings) do not allocate: a comparator built
-// on String() materializes two joined strings per comparison, which turns an
-// rdAll over a big directory into a multi-thousand-allocation sort — hot
-// enough to dominate replica execution under metadata-heavy load.
-func (t Tuple) Less(o Tuple) bool {
-	for i := 0; i < len(t) && i < len(o); i++ {
-		if t[i] != o[i] {
-			return t[i] < o[i]
-		}
-	}
-	return len(t) < len(o)
-}
 
 // ACL restricts who can read or overwrite a stored tuple. An empty ACL means
 // the tuple is accessible to every client (used for bootstrap data).
@@ -101,12 +88,18 @@ func (a ACL) canWrite(who string) bool {
 
 // Entry is a stored tuple with its metadata.
 type Entry struct {
-	Tuple   Tuple `json:"tuple"`
-	ACL     ACL   `json:"acl"`
+	Tuple   Tuple  `json:"tuple"`
+	ACL     ACL    `json:"acl"`
 	Version uint64 `json:"version"`
 	// ExpiresAt is a unix-nano deadline for ephemeral tuples; 0 means the
 	// tuple is permanent.
 	ExpiresAt int64 `json:"expires_at,omitempty"`
+
+	// seq is the replica-local insertion order: when several stored tuples
+	// match a template, the earliest inserted is "the" match. Version cannot
+	// serve, because rename rewrites it. Snapshots carry the order
+	// implicitly, as the order of their entries.
+	seq uint64
 }
 
 // opcode values for commands.
@@ -140,10 +133,14 @@ type Command struct {
 	ACL ACL `json:"acl,omitempty"`
 	// TTLNanos makes the tuple ephemeral (expires TTL after Now).
 	TTLNanos int64 `json:"ttl_nanos,omitempty"`
+	// FieldIndex selects the field that rename rewrites.
+	FieldIndex int `json:"field_index,omitempty"`
+	// Prefix, when set, restricts rdall to tuples whose key (field 1)
+	// starts with it.
+	Prefix string `json:"prefix,omitempty"`
 	// Rename support: prefix rewrite of the field at index FieldIndex.
-	FieldIndex int    `json:"field_index,omitempty"`
-	OldPrefix  string `json:"old_prefix,omitempty"`
-	NewPrefix  string `json:"new_prefix,omitempty"`
+	OldPrefix string `json:"old_prefix,omitempty"`
+	NewPrefix string `json:"new_prefix,omitempty"`
 }
 
 // Result is the reply produced by the state machine.
@@ -167,10 +164,18 @@ const (
 
 // Space is the deterministic tuple-space state machine. It implements
 // smr.Application.
+//
+// Tuples are kept sorted (see index.go), so a command's work follows the
+// size of its answer, not of the space. A template whose leading fields are
+// concrete — every template SCFS issues: <meta,key,*>, <lock,name,*>,
+// <lock,name,owner> — touches only the tuples that begin with them; a
+// filtered rdall over <meta,*,*> touches only the keys under its prefix.
+// Only a wildcard first field scans the whole space.
 type Space struct {
 	mu      sync.Mutex
 	entries []*Entry
 	nextVer uint64
+	nextSeq uint64
 }
 
 // NewSpace returns an empty tuple space.
@@ -179,12 +184,11 @@ func NewSpace() *Space { return &Space{nextVer: 1} }
 // Execute implements smr.Application.
 func (s *Space) Execute(cmdBytes []byte) []byte {
 	var cmd Command
-	if err := json.Unmarshal(cmdBytes, &cmd); err != nil {
+	if err := json.Unmarshal(cmdBytes, &cmd); err != nil || cmd.FieldIndex < 0 {
 		return marshalResult(Result{OK: false, Err: ErrBadCommand})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expireLocked(cmd.Now)
 	var res Result
 	switch cmd.Op {
 	case opOut:
@@ -218,59 +222,61 @@ func marshalResult(r Result) []byte {
 	return b
 }
 
-// expireLocked removes nothing but is kept cheap: expiry is evaluated lazily
-// during matching. Periodic cleanup happens through opClean.
-func (s *Space) expireLocked(now int64) {}
-
 func (s *Space) isExpired(e *Entry, now int64) bool {
 	return e.ExpiresAt != 0 && now > e.ExpiresAt
 }
 
-func (s *Space) cleanExpired(now int64) int {
-	kept := s.entries[:0]
-	removed := 0
-	for _, e := range s.entries {
-		if s.isExpired(e, now) {
-			removed++
-			continue
+// each calls fn, in rdall order, on every live tuple that matches template
+// and whose key (field 1) starts with prefix (an empty prefix admits all).
+func (s *Space) each(template Tuple, prefix string, now int64, fn func(*Entry)) {
+	for _, e := range s.run(template, prefix) {
+		if !s.isExpired(e, now) && e.Tuple.Matches(template) &&
+			(prefix == "" || len(e.Tuple) > 1 && strings.HasPrefix(e.Tuple[1], prefix)) {
+			fn(e)
 		}
-		kept = append(kept, e)
 	}
-	s.entries = kept
-	return removed
 }
 
-func (s *Space) findMatch(template Tuple, now int64) (int, *Entry) {
-	for i, e := range s.entries {
-		if s.isExpired(e, now) {
-			continue
+// findMatch returns the earliest inserted live tuple matching template.
+func (s *Space) findMatch(template Tuple, now int64) *Entry {
+	var first *Entry
+	s.each(template, "", now, func(e *Entry) {
+		if first == nil || e.seq < first.seq {
+			first = e
 		}
-		if e.Tuple.Matches(template) {
-			return i, e
-		}
+	})
+	return first
+}
+
+// add stores a new tuple under the next version, with the command's ACL and
+// TTL.
+func (s *Space) add(t Tuple, cmd Command) *Entry {
+	e := &Entry{Tuple: t.Clone(), ACL: cmd.ACL, Version: s.nextVer, seq: s.nextSeq}
+	s.nextVer++
+	s.nextSeq++
+	if cmd.TTLNanos > 0 {
+		e.ExpiresAt = cmd.Now + cmd.TTLNanos
 	}
-	return -1, nil
+	s.insert(e)
+	return e
+}
+
+func (s *Space) cleanExpired(now int64) int {
+	n := len(s.entries)
+	s.entries = slices.DeleteFunc(s.entries, func(e *Entry) bool { return s.isExpired(e, now) })
+	return n - len(s.entries)
 }
 
 func (s *Space) out(cmd Command) Result {
 	if len(cmd.Tuple) == 0 {
 		return Result{OK: false, Err: ErrBadCommand}
 	}
-	e := &Entry{
-		Tuple:   cmd.Tuple.Clone(),
-		ACL:     cmd.ACL,
-		Version: s.nextVer,
-	}
-	s.nextVer++
-	if cmd.TTLNanos > 0 {
-		e.ExpiresAt = cmd.Now + cmd.TTLNanos
-	}
-	s.entries = append(s.entries, e)
+	e := s.add(cmd.Tuple, cmd)
 	return Result{OK: true, Version: e.Version, Entry: cloneEntry(e)}
 }
 
 func (s *Space) rdp(cmd Command) Result {
-	_, e := s.findMatch(cmd.Template, cmd.Now)
+	e := s.findMatch(cmd.Template, cmd.Now)
 	if e == nil {
 		return Result{OK: false, Err: ErrNoMatch}
 	}
@@ -280,30 +286,28 @@ func (s *Space) rdp(cmd Command) Result {
 	return Result{OK: true, Entry: cloneEntry(e), Version: e.Version}
 }
 
+// rdAll returns every matching tuple the requester may read in rdall order:
+// field-wise as slices.Compare orders them, equal tuples in insertion order.
+// The index keeps that order, so nothing is sorted here.
 func (s *Space) rdAll(cmd Command) Result {
 	var out []Entry
-	for _, e := range s.entries {
-		if s.isExpired(e, cmd.Now) || !e.Tuple.Matches(cmd.Template) {
-			continue
+	s.each(cmd.Template, cmd.Prefix, cmd.Now, func(e *Entry) {
+		if e.ACL.canRead(cmd.Requester) {
+			out = append(out, *cloneEntry(e))
 		}
-		if !e.ACL.canRead(cmd.Requester) {
-			continue
-		}
-		out = append(out, *cloneEntry(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Less(out[j].Tuple) })
+	})
 	return Result{OK: true, Entries: out, Count: len(out)}
 }
 
 func (s *Space) inp(cmd Command) Result {
-	i, e := s.findMatch(cmd.Template, cmd.Now)
+	e := s.findMatch(cmd.Template, cmd.Now)
 	if e == nil {
 		return Result{OK: false, Err: ErrNoMatch}
 	}
 	if !e.ACL.canWrite(cmd.Requester) {
 		return Result{OK: false, Err: ErrAccessDenied}
 	}
-	s.entries = append(s.entries[:i], s.entries[i+1:]...)
+	s.remove(e)
 	return Result{OK: true, Entry: cloneEntry(e), Version: e.Version}
 }
 
@@ -314,85 +318,79 @@ func (s *Space) replace(cmd Command) Result {
 	if len(cmd.Replacement) == 0 {
 		return Result{OK: false, Err: ErrBadCommand}
 	}
-	i, e := s.findMatch(cmd.Template, cmd.Now)
-	if e != nil {
-		if !e.ACL.canWrite(cmd.Requester) {
-			return Result{OK: false, Err: ErrAccessDenied}
-		}
-		s.entries = append(s.entries[:i], s.entries[i+1:]...)
+	old := s.findMatch(cmd.Template, cmd.Now)
+	if old != nil && !old.ACL.canWrite(cmd.Requester) {
+		return Result{OK: false, Err: ErrAccessDenied}
 	}
-	newEntry := &Entry{
-		Tuple:   cmd.Replacement.Clone(),
-		ACL:     cmd.ACL,
-		Version: s.nextVer,
+	e := s.add(cmd.Replacement, cmd)
+	if old != nil {
+		s.remove(old)
 	}
-	s.nextVer++
-	if cmd.TTLNanos > 0 {
-		newEntry.ExpiresAt = cmd.Now + cmd.TTLNanos
-	}
-	s.entries = append(s.entries, newEntry)
-	return Result{OK: true, Version: newEntry.Version, Entry: cloneEntry(newEntry)}
+	return Result{OK: true, Version: e.Version, Entry: cloneEntry(e)}
 }
 
 // cas performs a compare-and-swap keyed by version: it succeeds only if the
 // matching tuple has ExpectedVersion (or, when ExpectedVersion is zero, if no
 // tuple matches the template). Used for lock acquisition and PNS creation.
 func (s *Space) cas(cmd Command) Result {
-	i, e := s.findMatch(cmd.Template, cmd.Now)
+	if len(cmd.Replacement) == 0 {
+		return Result{OK: false, Err: ErrBadCommand}
+	}
+	old := s.findMatch(cmd.Template, cmd.Now)
 	if cmd.ExpectedVersion == 0 {
-		if e != nil {
-			return Result{OK: false, Err: ErrAlreadyExists, Version: e.Version, Entry: cloneEntry(e)}
+		if old != nil {
+			return Result{OK: false, Err: ErrAlreadyExists, Version: old.Version, Entry: cloneEntry(old)}
 		}
 	} else {
-		if e == nil {
+		if old == nil {
 			return Result{OK: false, Err: ErrNoMatch}
 		}
-		if e.Version != cmd.ExpectedVersion {
-			return Result{OK: false, Err: ErrVersionClash, Version: e.Version, Entry: cloneEntry(e)}
+		if old.Version != cmd.ExpectedVersion {
+			return Result{OK: false, Err: ErrVersionClash, Version: old.Version, Entry: cloneEntry(old)}
 		}
-		if !e.ACL.canWrite(cmd.Requester) {
+		if !old.ACL.canWrite(cmd.Requester) {
 			return Result{OK: false, Err: ErrAccessDenied}
 		}
-		s.entries = append(s.entries[:i], s.entries[i+1:]...)
 	}
-	newEntry := &Entry{
-		Tuple:   cmd.Replacement.Clone(),
-		ACL:     cmd.ACL,
-		Version: s.nextVer,
+	e := s.add(cmd.Replacement, cmd)
+	if old != nil {
+		s.remove(old)
 	}
-	s.nextVer++
-	if cmd.TTLNanos > 0 {
-		newEntry.ExpiresAt = cmd.Now + cmd.TTLNanos
-	}
-	s.entries = append(s.entries, newEntry)
-	return Result{OK: true, Version: newEntry.Version, Entry: cloneEntry(newEntry)}
+	return Result{OK: true, Version: e.Version, Entry: cloneEntry(e)}
 }
 
 // rename rewrites the prefix OldPrefix into NewPrefix in field FieldIndex of
-// every tuple the requester may write, mirroring the trigger extension added
-// to DepSpace for efficient directory renames.
+// every live tuple under it, mirroring the trigger extension added to
+// DepSpace for efficient directory renames. It is all or nothing: if the
+// requester may not write one of the tuples, none is rewritten. Tuples get
+// new versions in insertion order and move to their new index keys.
 func (s *Space) rename(cmd Command) Result {
 	if cmd.OldPrefix == "" {
 		return Result{OK: false, Err: ErrBadCommand}
 	}
-	count := 0
+	var moved []*Entry
 	for _, e := range s.entries {
 		if s.isExpired(e, cmd.Now) || cmd.FieldIndex >= len(e.Tuple) {
 			continue
 		}
-		field := e.Tuple[cmd.FieldIndex]
-		if field != cmd.OldPrefix && !strings.HasPrefix(field, cmd.OldPrefix+"/") {
-			continue
+		if f := e.Tuple[cmd.FieldIndex]; f == cmd.OldPrefix || strings.HasPrefix(f, cmd.OldPrefix+"/") {
+			moved = append(moved, e)
 		}
+	}
+	for _, e := range moved {
 		if !e.ACL.canWrite(cmd.Requester) {
 			return Result{OK: false, Err: ErrAccessDenied}
 		}
-		e.Tuple[cmd.FieldIndex] = cmd.NewPrefix + strings.TrimPrefix(field, cmd.OldPrefix)
+	}
+	slices.SortFunc(moved, bySeq)
+	for _, e := range moved {
+		s.remove(e)
+		e.Tuple[cmd.FieldIndex] = cmd.NewPrefix + strings.TrimPrefix(e.Tuple[cmd.FieldIndex], cmd.OldPrefix)
 		e.Version = s.nextVer
 		s.nextVer++
-		count++
+		s.insert(e)
 	}
-	return Result{OK: true, Count: count}
+	return Result{OK: true, Count: len(moved)}
 }
 
 func cloneEntry(e *Entry) *Entry {
@@ -401,34 +399,40 @@ func cloneEntry(e *Entry) *Entry {
 	return &c
 }
 
+func bySeq(x, y *Entry) int { return cmp.Compare(x.seq, y.seq) }
+
+// snapshotState is the serialized state: entries in insertion order.
+type snapshotState struct {
+	Entries []*Entry `json:"entries"`
+	NextVer uint64   `json:"next_ver"`
+}
+
 // Snapshot implements smr.Application.
 func (s *Space) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	state := struct {
-		Entries []*Entry `json:"entries"`
-		NextVer uint64   `json:"next_ver"`
-	}{Entries: s.entries, NextVer: s.nextVer}
+	state := snapshotState{Entries: slices.SortedFunc(slices.Values(s.entries), bySeq), NextVer: s.nextVer}
 	b, _ := json.Marshal(state)
 	return b
 }
 
 // Restore implements smr.Application.
 func (s *Space) Restore(snapshot []byte) error {
-	var state struct {
-		Entries []*Entry `json:"entries"`
-		NextVer uint64   `json:"next_ver"`
-	}
+	var state snapshotState
 	if err := json.Unmarshal(snapshot, &state); err != nil {
 		return fmt.Errorf("depspace: restoring snapshot: %w", err)
 	}
+	if slices.Contains(state.Entries, nil) {
+		return fmt.Errorf("depspace: restoring snapshot: null entry")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = state.Entries
-	s.nextVer = state.NextVer
-	if s.nextVer == 0 {
-		s.nextVer = 1
+	for i, e := range state.Entries {
+		e.seq = uint64(i)
 	}
+	s.entries = slices.SortedFunc(slices.Values(state.Entries), rdallOrder)
+	s.nextSeq = uint64(len(state.Entries))
+	s.nextVer = max(state.NextVer, 1)
 	return nil
 }
 

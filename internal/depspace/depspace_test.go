@@ -85,7 +85,7 @@ func TestRdAllFiltersAndSorts(t *testing.T) {
 	if _, err := c.Out(bg, Tuple{"lock", "/a"}, ACL{}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := c.RdAll(bg, Tuple{"meta", "*", "*"})
+	entries, err := c.RdAll(bg, Tuple{"meta", "*", "*"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestACLEnforcement(t *testing.T) {
 	if _, err := alice.Out(bg, Tuple{"meta", "/alice-only", "h"}, ACL{Owner: "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := bob.RdAll(bg, Tuple{"meta", "*", "*"})
+	entries, err := bob.RdAll(bg, Tuple{"meta", "*", "*"}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

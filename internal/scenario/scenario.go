@@ -156,7 +156,7 @@ func newEnv(t *testing.T, s Scenario) *Env {
 	for i := range providers {
 		o := cloudsim.Options{Name: fmt.Sprintf("c%d", i), Seed: int64(i + 1)}
 		if i < len(s.RTTs) {
-			o.Latency = cloudsim.LatencyProfile{RTT: s.RTTs[i]}
+			o.Latency, o.LatencyScale = cloudsim.LatencyProfile{RTT: s.RTTs[i]}, 1
 		}
 		providers[i] = cloudsim.NewProvider(o)
 		stores[i] = providers[i].MustClient(providers[i].CreateAccount("user"))

@@ -19,7 +19,7 @@ func skewedMount(t *testing.T, stragglerRTT time.Duration, opts ...scfs.Option) 
 	for i := range providers {
 		o := cloudsim.Options{Name: fmt.Sprintf("c%d", i)}
 		if i == 3 {
-			o.Latency = cloudsim.LatencyProfile{RTT: stragglerRTT}
+			o.Latency, o.LatencyScale = cloudsim.LatencyProfile{RTT: stragglerRTT}, 1
 		}
 		providers[i] = cloudsim.NewProvider(o)
 		stores[i] = providers[i].MustClient(providers[i].CreateAccount("user"))

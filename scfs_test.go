@@ -11,8 +11,10 @@ import (
 	"net/http/httptest"
 	"testing"
 	"testing/fstest"
+	"time"
 
 	"scfs"
+	"scfs/internal/clock"
 	"scfs/internal/cloudsim"
 )
 
@@ -59,6 +61,49 @@ func TestFacadeRoundTrip(t *testing.T) {
 	}
 	if len(infos) != 1 || infos[0].Name != "hello.txt" {
 		t.Fatalf("ReadDir = %+v", infos)
+	}
+}
+
+// TestDefaultMountHasInstantClouds pins WithSimulatedLatency's default of 0:
+// instant clouds. It builds the clouds as a default mount does
+// (cloudsim.NewCoCProviders at scale 0), but on a simulated clock that never
+// advances, so a simulated delay would park its request on that clock for
+// good. A 64 KiB WriteFile+ReadFile must finish with no request ever
+// waiting there.
+func TestDefaultMountHasInstantClouds(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	var clouds []scfs.ObjectStore
+	for _, p := range cloudsim.NewCoCProviders(0, sim, 1) {
+		clouds = append(clouds, p.MustClient(p.CreateAccount("user")))
+	}
+	m := mount(t, scfs.WithClouds(clouds...))
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel() // releases parked requests if the test fails
+	data := bytes.Repeat([]byte("scfs"), 16<<10)
+	done := make(chan error, 1)
+	go func() {
+		if err := scfs.WriteFile(ctx, m, "/f", data); err != nil {
+			done <- err
+			return
+		}
+		got, err := scfs.ReadFile(ctx, m, "/f")
+		if err == nil && !bytes.Equal(got, data) {
+			err = fmt.Errorf("ReadFile returned %d different bytes", len(got))
+		}
+		done <- err
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-time.After(time.Millisecond):
+			if n := sim.Pending(); n > 0 {
+				t.Fatalf("%d cloud requests wait on the simulated clock", n)
+			}
+		}
 	}
 }
 
