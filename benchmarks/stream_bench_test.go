@@ -14,13 +14,14 @@ import (
 	"scfs/internal/depsky"
 )
 
-// streamSize is the payload the ISSUE tracks for the streaming data plane:
-// a 64 MiB write must peak at a few chunk-windows of resident memory
-// instead of ~2.5x the file size.
+// streamSize is the payload tracked for the streaming data plane: a 64 MiB
+// write must peak at a few chunk-windows of resident memory instead of
+// ~2.5x the file size.
 const streamSize = 64 << 20
 
 // BenchmarkDepSkyStreamWriteCA streams a 64 MiB value through the chunked
-// pipeline (WriteFrom): bounded-memory encode/hash/upload overlap.
+// pipeline (WriteFrom): bounded-memory encode/hash/upload overlap. The
+// benchguard holds its B/op under twice the payload.
 func BenchmarkDepSkyStreamWriteCA(b *testing.B) {
 	b.Run("64MiB", func(b *testing.B) {
 		m, _ := benchManager(b, 1, depsky.ProtocolCA)
@@ -29,22 +30,6 @@ func BenchmarkDepSkyStreamWriteCA(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.WriteFrom(bg, fmt.Sprintf("u-%d", i), bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkDepSkyWholeWriteCA is the whole-object baseline for the same
-// payload: the benchguard tracks the streamed/whole B/op ratio.
-func BenchmarkDepSkyWholeWriteCA(b *testing.B) {
-	b.Run("64MiB", func(b *testing.B) {
-		m, _ := benchManager(b, 1, depsky.ProtocolCA)
-		data := bytes.Repeat([]byte{0xAB}, streamSize)
-		b.SetBytes(streamSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Write(bg, fmt.Sprintf("u-%d", i), data); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -77,8 +62,7 @@ func BenchmarkDepSkyRangedReadCA(b *testing.B) {
 // discardStore is an ObjectStore that acknowledges writes without keeping
 // the payload. The memory-footprint test uses it so the measurement
 // isolates the data plane's own allocations (the simulator copies every
-// uploaded payload into its object map, which would charge both write paths
-// ~2x the payload and drown the comparison).
+// uploaded payload into its object map, which would add ~2x the payload).
 type discardStore struct{ name string }
 
 func (d *discardStore) Provider() string                          { return d.name }
@@ -150,45 +134,35 @@ func measureWrite(b testing.TB, fn func() error) (totalAlloc, peak uint64) {
 	return totalAlloc, peak
 }
 
+// writeAllocBudget bounds what a 64 MiB write may allocate against
+// discarding clouds: 48 MiB, three quarters of the payload. The pipeline
+// keeps ~3 chunk-windows resident and recycles them through the shared
+// pool, so what it allocates is mostly pool misses plus the per-chunk
+// bookkeeping (measured ~32 MiB); materializing the ciphertext, the shards
+// or the frames of the whole value would cost several times the payload.
+const writeAllocBudget = 48 << 20
+
 // TestStreamedWriteMemoryFootprint is the acceptance check of the streaming
-// data plane: a 64 MiB streamed write must allocate less than 25% of what
-// the whole-object path allocates for the same payload (the whole path
-// materializes ciphertext + shards + frames — ~4x the value — while the
-// pipeline keeps ~3 chunk-windows resident and recycles them through the
-// shared pool).
+// data plane: a 64 MiB write allocates less than writeAllocBudget.
 func TestStreamedWriteMemoryFootprint(t *testing.T) {
 	data := bytes.Repeat([]byte{0xEE}, streamSize)
-
-	mWhole := discardManager(t)
-	wholeAlloc, wholePeak := measureWrite(t, func() error {
-		_, err := mWhole.Write(bg, "u", data)
+	m := discardManager(t)
+	alloc, peak := measureWrite(t, func() error {
+		_, err := m.Write(bg, "u", data)
 		return err
 	})
-
-	mStream := discardManager(t)
-	streamAlloc, streamPeak := measureWrite(t, func() error {
-		_, err := mStream.WriteFrom(bg, "u", bytes.NewReader(data))
-		return err
-	})
-
-	t.Logf("whole-object: %.1f MiB allocated, ~%.1f MiB peak heap growth", mib(wholeAlloc), mib(wholePeak))
-	t.Logf("streamed:     %.1f MiB allocated, ~%.1f MiB peak heap growth", mib(streamAlloc), mib(streamPeak))
+	t.Logf("64 MiB write: %.1f MiB allocated, ~%.1f MiB peak heap growth", mib(alloc), mib(peak))
 
 	if raceEnabled {
 		// The race detector instruments every allocation with shadow
-		// state, inflating the streamed path (many small pooled buffers
-		// crossing goroutines) far more than the whole-object path (a few
-		// large slabs) — the 25% ratio measures the allocator, not the
-		// pipeline, under -race. Both paths still ran above, so the
-		// pipeline itself stays race-checked; only the ratio assertion is
-		// meaningless here.
-		t.Skipf("skipping allocation-ratio assertion under -race (ratio %.1f%% reflects detector shadow memory)",
-			100*float64(streamAlloc)/float64(wholeAlloc))
+		// state, inflating the pipeline's many small pooled buffers
+		// crossing goroutines; the budget measures the allocator, not the
+		// pipeline, under -race. The write still ran above, so the
+		// pipeline itself stays race-checked.
+		t.Skipf("skipping allocation budget under -race (%.1f MiB reflects detector shadow memory)", mib(alloc))
 	}
-
-	if ratio := float64(streamAlloc) / float64(wholeAlloc); ratio >= 0.25 {
-		t.Fatalf("streamed write allocated %.1f%% of the whole-object path (%.1f of %.1f MiB), want < 25%%",
-			100*ratio, mib(streamAlloc), mib(wholeAlloc))
+	if alloc >= writeAllocBudget {
+		t.Fatalf("64 MiB write allocated %.1f MiB, want < %.0f MiB", mib(alloc), mib(writeAllocBudget))
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -524,7 +523,7 @@ func (h *handle) Close(ctx context.Context) error {
 	// thereby bounded by its task structs, not by the dirty file sizes; the
 	// in-memory copy rides along only in the edge case where the disk cache
 	// could not retain the entry (a value larger than the whole cache).
-	task := uploadTask{md: md.Clone(), hash: hash, size: int64(len(data)), unlockPath: ifThen(shouldUnlock, of.path)}
+	task := uploadTask{md: md.Clone(), hash: hash, unlockPath: ifThen(shouldUnlock, of.path)}
 	if !a.diskCache.Pin(key) {
 		task.fallback = data
 	}
@@ -541,41 +540,23 @@ func ifThen(cond bool, v string) string {
 }
 
 // syncToCloud performs the cloud side of a close: write the data version to
-// the storage backend (step w2) — streaming it chunk-by-chunk for large
-// files when the backend supports it, so the encoded form is never fully
-// resident — then anchor it by updating the metadata (step w3), flushing
-// the PNS when the file is private.
+// the storage backend (step w2), then anchor it by updating the metadata
+// (step w3), flushing the PNS when the file is private.
 func (a *Agent) syncToCloud(ctx context.Context, md *fsmeta.Metadata, hash string, data []byte) error {
-	if a.shouldStream(int64(len(data))) {
-		sw := a.opts.Storage.(storage.StreamWriter)
-		if err := sw.WriteVersionFrom(ctx, md.FileID, hash, bytes.NewReader(data)); err != nil {
-			return fmt.Errorf("core: uploading %q: %w", md.Path, err)
-		}
-		return a.finishSync(ctx, md, int64(len(data)), true)
-	}
 	if err := a.opts.Storage.WriteVersion(ctx, md.FileID, hash, data); err != nil {
 		return fmt.Errorf("core: uploading %q: %w", md.Path, err)
 	}
-	return a.finishSync(ctx, md, int64(len(data)), false)
-}
-
-// shouldStream reports whether a payload of the given size goes through the
-// backend's streaming face.
-func (a *Agent) shouldStream(size int64) bool {
-	if _, ok := a.opts.Storage.(storage.StreamWriter); !ok {
-		return false
-	}
-	return a.opts.StreamThresholdBytes >= 0 && size > a.opts.StreamThresholdBytes
+	return a.finishSync(ctx, md, int64(len(data)))
 }
 
 // finishSync records the stats and cost pressure of a completed version
 // upload and anchors it in the metadata service.
-func (a *Agent) finishSync(ctx context.Context, md *fsmeta.Metadata, size int64, streamed bool) error {
+func (a *Agent) finishSync(ctx context.Context, md *fsmeta.Metadata, size int64) error {
 	a.addStat(func(s *Stats) { s.CloudWrites++; s.CloudBytesUp += size })
 	// Meter the request-fee pressure of the new version for the GC trigger:
-	// a streamed version creates one fee-bearing object per chunk per cloud.
+	// a chunked version creates one fee-bearing object per chunk per cloud.
 	if vc, ok := a.opts.Storage.(storage.VersionCoster); ok {
-		fp := vc.EstimateVersionFootprint(size, streamed)
+		fp := vc.EstimateVersionFootprint(size)
 		a.mu.Lock()
 		a.objectsSinceGC += fp.Objects
 		a.mu.Unlock()
@@ -619,7 +600,6 @@ func (a *Agent) unlock(ctx context.Context, path string) error {
 type uploadTask struct {
 	md         *fsmeta.Metadata
 	hash       string
-	size       int64
 	fallback   []byte
 	unlockPath string
 	// barrier, when non-nil, marks a synchronization point: the worker closes
@@ -652,25 +632,24 @@ func (a *Agent) uploadWorker() {
 }
 
 // uploadQueued performs one queued background upload, sourcing the payload
-// from the disk cache it was spilled to. Large versions are streamed from
-// the cache file straight into the backend's streaming face, so neither the
-// queue nor the upload ever holds the whole (let alone the encoded) value
-// in memory; small ones take the whole-object path. The pinned cache entry
-// is released once the upload attempt finishes.
+// from the disk cache it was spilled to. When the backend has a streaming
+// face the version is streamed from the cache file straight into it, so
+// neither the queue nor the upload ever holds the whole (let alone the
+// encoded) value in memory. The pinned cache entry is released once the
+// upload attempt finishes.
 func (a *Agent) uploadQueued(ctx context.Context, task uploadTask) error {
 	key := cacheKey(task.md.FileID, task.hash)
 	if task.fallback != nil {
 		return a.syncToCloud(ctx, task.md, task.hash, task.fallback)
 	}
 	defer a.diskCache.Unpin(key)
-	if a.shouldStream(task.size) {
+	if sw, ok := a.opts.Storage.(storage.StreamWriter); ok {
 		if f, size, ok := a.diskCache.Open(key); ok {
 			defer f.Close()
-			sw := a.opts.Storage.(storage.StreamWriter)
 			if err := sw.WriteVersionFrom(ctx, task.md.FileID, task.hash, f); err != nil {
 				return fmt.Errorf("core: uploading %q: %w", task.md.Path, err)
 			}
-			return a.finishSync(ctx, task.md, size, true)
+			return a.finishSync(ctx, task.md, size)
 		}
 	}
 	data, ok := a.diskCache.Get(key)

@@ -236,15 +236,17 @@ func TestDeadlineLongerThanQuorumSucceeds(t *testing.T) {
 }
 
 // TestOpenReadRetriesAfterCancelledFirstRead: a cancelled first read
-// through an Open'd whole-object reader must not poison the reader — a
+// through an Open'd whole-value reader must not poison the reader — a
 // later read with a live context retries the fetch and succeeds.
 func TestOpenReadRetriesAfterCancelledFirstRead(t *testing.T) {
-	_, m := newManager(t, ProtocolCA)
+	providers, m := newManager(t, ProtocolCA)
+	m.opts.DisableQuorumCancel = true
 	data := bytes.Repeat([]byte("retry "), 500)
 	if _, err := m.Write(bg, "u", data); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := m.Open(bg, "u") // v1 version: whole-object fetch path
+	uncertify(t, providers, m, "u")
+	r, _, err := m.Open(bg, "u") // uncertified version: whole-value fetch path
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,19 @@
 package depsky
 
-// Dollar cost model. footprint.go counts the byte and object axes of one
-// stored version; this file prices them with the per-cloud rate cards of
-// Options.Pricing (§4.5 of the paper argues in exactly these units: the
-// cloud-of-clouds is practical because DepSky-CA's dollars stay within ~2x
-// of a single cloud). Estimates charge the mean rate card across the n
-// clouds — which n-f subset actually holds a version depends on the
-// placement objective and the tracker state at write time, and an estimate
-// that stable is worth more to the garbage collector (which ranks
-// candidates by it) than one that drifts with provider weather.
+// Cost accounting. The paper's cost analysis (§4.5) charges a version by
+// its storage footprint on the preferred quorum; the chunked layout adds a
+// second axis the byte count misses entirely: each chunk is its own cloud
+// object, so a 64 MiB version creates 64x as many objects — and pays 64x
+// the per-request fees on every write, read and delete — as a 1 MiB one.
+// A pricing.Footprint folds both axes together so the garbage collector
+// (and any capacity planner) can weigh "many small chunks" against "few big
+// chunks" instead of seeing only bytes, and one rate card prices it.
+//
+// Dollar estimates charge the mean rate card across the n clouds — which
+// n-f subset actually holds a version depends on the placement objective
+// and the tracker state at write time, and an estimate that stable is worth
+// more to the garbage collector (which ranks candidates by it) than one
+// that drifts with provider weather.
 
 import (
 	"scfs/internal/pricing"
@@ -47,83 +52,63 @@ func meanRates(rates []pricing.Rates) pricing.Rates {
 	return sum
 }
 
+// VersionFootprint computes the footprint of one stored version from its
+// metadata.
+func (m *Manager) VersionFootprint(info VersionInfo) pricing.Footprint {
+	chunkSize := info.ChunkSize
+	if !info.validChunking() {
+		chunkSize = max(info.Size, 1) // forged geometry: charge one object
+	}
+	return m.footprint(info.Protocol, int64(info.Size), chunkSize)
+}
+
+// EstimateFootprint predicts the footprint a value of the given size would
+// have if written now. The SCFS agent uses it to meter request-fee pressure
+// for the garbage-collection trigger.
+func (m *Manager) EstimateFootprint(size int64) pricing.Footprint {
+	return m.footprint(m.opts.Protocol, size, m.chunkSize())
+}
+
 // VersionCost prices one stored version's lifecycle from its metadata:
 // recurring storage per month, the upload it already paid, what one whole
-// read costs, and what reclaiming it will cost. It is the dollar companion
-// of VersionFootprint and what the garbage collector ranks reclamation
-// candidates by.
+// read costs, and what reclaiming it will cost. The garbage collector ranks
+// reclamation candidates by it.
 func (m *Manager) VersionCost(info VersionInfo) pricing.Estimate {
-	chunks, fullLen, tailLen := versionChunkShape(info)
-	return m.cost(info.Protocol, chunks, fullLen, tailLen)
+	return m.mean.Price(m.VersionFootprint(info))
 }
 
 // EstimateCost predicts the lifecycle dollars a value of the given size
-// would cost if written now; chunked selects the streamed v2 layout (one
-// object per chunk) versus the whole-object v1 layout.
-func (m *Manager) EstimateCost(size int64, chunked bool) pricing.Estimate {
-	chunks, fullLen, tailLen := m.estimateChunkShape(size, chunked)
-	return m.cost(m.opts.Protocol, chunks, fullLen, tailLen)
+// would cost if written now.
+func (m *Manager) EstimateCost(size int64) pricing.Estimate {
+	return m.mean.Price(m.EstimateFootprint(size))
 }
 
-// versionChunkShape reduces a version's chunking to (count, full-chunk
-// length, tail-chunk length) — every chunk but the last is full-size, so
-// the per-chunk cost loops collapse to constant-time arithmetic.
-func versionChunkShape(info VersionInfo) (chunks, fullLen, tailLen int) {
-	if info.Chunked() && info.validChunking() {
-		return info.ChunkCount, info.ChunkSize, info.chunkPlainLen(info.ChunkCount - 1)
-	}
-	return 1, info.Size, info.Size
-}
-
-// estimateChunkShape is versionChunkShape for a value not yet written.
-func (m *Manager) estimateChunkShape(size int64, chunked bool) (chunks, fullLen, tailLen int) {
-	if !chunked {
-		return 1, int(size), int(size)
-	}
-	cs := m.chunkSize()
-	n := int((size + int64(cs) - 1) / int64(cs))
-	if n < 1 {
-		n = 1
-	}
-	return n, cs, int(size - int64(n-1)*int64(cs))
-}
-
-// cost prices a version of `chunks` objects (chunks-1 of fullLen plaintext
-// bytes plus one of tailLen) under the protocol's dispersal, mirroring
-// footprint(): CA charges one erasure shard of the ciphertext on each of
-// the n-f quorum clouds and f+1 readers per chunk, A a full replica on all
-// n clouds and one reader. The metadata quorum write rides along as q
-// request fees. Constant-time regardless of the chunk count.
-func (m *Manager) cost(protocol Protocol, chunks, fullLen, tailLen int) pricing.Estimate {
-	mean := m.mean
-	n := int64(m.N())
-	q := int64(m.QuorumSize())
+// footprint charges a value of size bytes cut into chunkSize chunks (at
+// least one, every chunk but the last full-size) under the protocol's
+// dispersal: CA stores one erasure shard of each chunk's ciphertext on each
+// of the preferred n-f clouds and reads f+1 of them, A a full replica on
+// all n and reads one. The metadata quorum write rides along as n-f PUTs.
+// Constant-time regardless of the chunk count.
+func (m *Manager) footprint(protocol Protocol, size int64, chunkSize int) pricing.Footprint {
+	cs := int64(chunkSize)
+	chunks := max((size+cs-1)/cs, 1)
+	tail := size - (chunks-1)*cs
+	n, q := int64(m.N()), int64(m.QuorumSize())
 	charged, readers := q, int64(m.opts.F+1)
+	stored := func(plain int64) int64 { // bytes per charged cloud
+		return int64(m.coder.ShardSize(int(plain) + seccrypto.CiphertextOverhead))
+	}
 	if protocol == ProtocolA {
 		charged, readers = n, 1
+		stored = func(plain int64) int64 { return plain }
 	}
-	perChunk := func(plain int) pricing.Estimate {
-		var stored int64 // bytes per charged cloud
-		if protocol == ProtocolA {
-			stored = int64(plain)
-		} else {
-			stored = int64(m.coder.ShardSize(plain + seccrypto.CiphertextOverhead))
-		}
-		return pricing.Estimate{
-			StoragePerMonth: float64(charged) * mean.StorageCost(stored),
-			UploadOnce:      float64(charged) * mean.PutCost(stored),
-			ReadOnce:        float64(readers) * mean.GetCost(stored),
-			DeleteOnce:      float64(n) * mean.DeleteRequest,
-		}
+	perCloud := (chunks-1)*stored(cs) + stored(tail)
+	return pricing.Footprint{
+		Bytes:              perCloud * charged,
+		ReadBytes:          perCloud * readers,
+		Objects:            chunks * charged,
+		PutRequests:        chunks*charged + q,
+		GetRequestsPerRead: chunks * readers,
+		DeleteRequests:     chunks * n,
 	}
-	full := perChunk(fullLen)
-	est := pricing.Estimate{
-		StoragePerMonth: float64(chunks-1) * full.StoragePerMonth,
-		UploadOnce:      float64(chunks-1) * full.UploadOnce,
-		ReadOnce:        float64(chunks-1) * full.ReadOnce,
-		DeleteOnce:      float64(chunks-1) * full.DeleteOnce,
-	}
-	est.Add(perChunk(tailLen))
-	est.UploadOnce += float64(q) * mean.PutRequest // the metadata quorum write
-	return est
 }

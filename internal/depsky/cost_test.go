@@ -2,6 +2,7 @@ package depsky
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -20,10 +21,10 @@ func costManager(t *testing.T, chunkSize int) *Manager {
 }
 
 func TestEstimateCostAxes(t *testing.T) {
-	m := costManager(t, 4096)
 	const size = 16 * 4096
-	whole := m.EstimateCost(size, false)
-	chunked := m.EstimateCost(size, true)
+	// The same value as one chunk and as 16.
+	whole := costManager(t, size).EstimateCost(size)
+	chunked := costManager(t, 4096).EstimateCost(size)
 	if whole.StoragePerMonth <= 0 || whole.UploadOnce <= 0 || whole.ReadOnce <= 0 {
 		t.Fatalf("whole-object estimate has zero axes: %+v", whole)
 	}
@@ -58,14 +59,47 @@ func TestVersionCostMatchesEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.VersionCost(info)
-	want := m.EstimateCost(int64(len(data)), true)
+	want := m.EstimateCost(int64(len(data)))
 	if got != want {
 		t.Fatalf("VersionCost %+v != EstimateCost %+v for the version just written", got, want)
 	}
 	// A zero-value pricing table still yields sane (DefaultRates-priced)
 	// numbers rather than zeros.
 	m2, _, _ := hedgeManager(t, []time.Duration{0, 0, 0, 0}, Options{})
-	if est := m2.EstimateCost(1<<20, false); est.StoragePerMonth <= 0 {
+	if est := m2.EstimateCost(1 << 20); est.StoragePerMonth <= 0 {
 		t.Fatalf("zero table must price with DefaultRates: %+v", est)
+	}
+}
+
+// TestEstimateCostPinned pins the dollars of the default 1 MiB-chunk
+// layout under the bundled rates, for both protocols: 0 B and 4 KiB are
+// one chunk, 1 MiB+1 two, 64 MiB sixty-four. The figures are those of the
+// cost model before footprint and dollars were derived from one Footprint,
+// so the unification changed no estimate.
+func TestEstimateCostPinned(t *testing.T) {
+	rates := pricing.Table{Default: pricing.DefaultRates}
+	mCA, _, _ := hedgeManager(t, []time.Duration{0, 0, 0, 0}, Options{Pricing: rates})
+	mA, _, _ := hedgeManager(t, []time.Duration{0, 0, 0, 0}, Options{Protocol: ProtocolA, Pricing: rates})
+	cases := []struct {
+		m    *Manager
+		size int64
+		want pricing.Estimate
+	}{
+		{mCA, 0, pricing.Estimate{StoragePerMonth: 5.140900611877442e-10, UploadOnce: 3.0000000000000004e-05, ReadOnce: 8.013411045074463e-07}},
+		{mCA, 4096, pricing.Estimate{StoragePerMonth: 1.3212114572525022e-07, UploadOnce: 3.0000000000000004e-05, ReadOnce: 1.1446638584136962e-06}},
+		{mCA, 1<<20 + 1, pricing.Estimate{StoragePerMonth: 3.369249869138002e-05, UploadOnce: 4.500000000000001e-05, ReadOnce: 8.949347484707833e-05}},
+		{mCA, 64 << 20, pricing.Estimate{StoragePerMonth: 0.002156282901763916, UploadOnce: 0.0009750000000000002, ReadOnce: 0.005676285830688477}},
+		{mA, 0, pricing.Estimate{StoragePerMonth: 0, UploadOnce: 3.5000000000000004e-05, ReadOnce: 4e-07}},
+		{mA, 4096, pricing.Estimate{StoragePerMonth: 3.509521484375e-07, UploadOnce: 3.5000000000000004e-05, ReadOnce: 7.4332275390625e-07}},
+		{mA, 1<<20 + 1, pricing.Estimate{StoragePerMonth: 8.984383568167687e-05, UploadOnce: 5.500000000000001e-05, ReadOnce: 8.869070881903171e-05}},
+		{mA, 64 << 20, pricing.Estimate{StoragePerMonth: 0.00575, UploadOnce: 0.0012950000000000001, ReadOnce: 0.0056505999999999995}},
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
+	for _, c := range cases {
+		got := c.m.EstimateCost(c.size)
+		if !near(got.StoragePerMonth, c.want.StoragePerMonth) || !near(got.UploadOnce, c.want.UploadOnce) ||
+			!near(got.ReadOnce, c.want.ReadOnce) || !near(got.DeleteOnce, c.want.DeleteOnce) {
+			t.Errorf("%s %d B: EstimateCost = %+v, want %+v", c.m.opts.Protocol, c.size, got, c.want)
+		}
 	}
 }

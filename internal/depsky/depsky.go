@@ -17,16 +17,21 @@
 // with a given hash" rather than "the newest version", so the manager also
 // implements ReadMatching, the extension described in §3.2 of the paper.
 //
-// Per-cloud blocks are stored in the length-prefixed binary frame documented
-// in wire.go (magic/version/protocol/shard-index header followed by the key
-// share and the shard payload); only the small metadata objects use JSON.
+// Every version has one data layout: the value is cut into fixed-size
+// chunks (a small value is one chunk), and each cloud stores one
+// length-prefixed binary frame per chunk, documented in wire.go. Write and
+// WriteFrom, Read and Open are entry points into that one pipeline; only
+// the small metadata objects use JSON.
 package depsky
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,8 +42,6 @@ import (
 	"scfs/internal/placement"
 	"scfs/internal/pricing"
 	"scfs/internal/resilience"
-	"scfs/internal/seccrypto"
-	"scfs/internal/secretshare"
 	"scfs/internal/stream"
 	"scfs/internal/telemetry"
 )
@@ -80,27 +83,18 @@ type VersionInfo struct {
 	DataHash string `json:"data_hash"`
 	// Size is the length of the original value.
 	Size int `json:"size"`
-	// BlockHashes[i] is the SHA-256 of the block stored on cloud i, allowing
-	// the reader to discard corrupted blocks. Empty for chunked (v2)
-	// versions, which record ChunkHashes instead.
-	BlockHashes []string `json:"block_hashes"`
 	// Protocol records how the version was encoded.
-	Protocol Protocol `json:"protocol"`
-
-	// ChunkSize is the plaintext bytes per chunk for versions written
-	// through the streaming pipeline (the v2 chunked wire layout). Zero
-	// means the whole-object v1 layout.
-	ChunkSize int `json:"chunk_size,omitempty"`
-	// ChunkCount is the number of chunks of a chunked version.
-	ChunkCount int `json:"chunk_count,omitempty"`
-	// ChunkHashes[j][i] is the SHA-256 of chunk j's frame on cloud i.
+	Protocol Protocol `json:"protocol,omitempty"`
+	// ChunkSize is the plaintext bytes per chunk; every chunk but the last
+	// is full-size.
+	ChunkSize int `json:"chunk_size"`
+	// ChunkHashes[j][i] is the SHA-256 of chunk j's frame on cloud i,
+	// allowing the reader to discard corrupted frames. len(ChunkHashes) is
+	// the chunk count.
 	ChunkHashes [][]string `json:"chunk_hashes,omitempty"`
 }
 
-// Chunked reports whether the version uses the v2 chunked layout.
-func (v *VersionInfo) Chunked() bool { return v.ChunkSize > 0 }
-
-// MaxChunkSize is the largest chunk a v2 version may declare (256 MiB); a
+// MaxChunkSize is the largest chunk a version may declare (256 MiB); a
 // wire-protocol constant, not a tuning knob. Writers clamp their configured
 // chunk size to it; readers reject metadata beyond it. The cap is what
 // bounds a reader's allocations against forged metadata: VersionInfo is
@@ -109,19 +103,21 @@ func (v *VersionInfo) Chunked() bool { return v.ChunkSize > 0 }
 // the cap, reassembling a forged variant can allocate at most
 // len(ChunkHashes) x MaxChunkSize — linear in metadata bytes the attacker
 // must actually store — instead of any 17-byte JSON integer commanding a
-// terabyte make().
+// terabyte make(). Readers go further for uncertified variants and size no
+// buffer by the metadata until frames have verified it (see
+// readChunkedVersion).
 const MaxChunkSize = 256 << 20
 
 // validChunking reports whether the chunk geometry is internally
-// consistent. Readers check it before slicing buffers by chunk arithmetic,
-// so metadata from a corrupt cloud can fail a read but never panic it (nor
-// size an unbounded allocation — see MaxChunkSize).
+// consistent: Size needs exactly len(ChunkHashes) chunks of ChunkSize.
+// Readers check it before slicing buffers by chunk arithmetic, so metadata
+// from a corrupt cloud can fail a read but never panic it (nor size an
+// unbounded allocation — see MaxChunkSize).
 func (v *VersionInfo) validChunking() bool {
-	if v.ChunkSize <= 0 || v.ChunkSize > MaxChunkSize || v.Size < 0 || v.ChunkCount < 0 {
+	if v.ChunkSize <= 0 || v.ChunkSize > MaxChunkSize || v.Size < 0 {
 		return false
 	}
-	wantChunks := (v.Size + v.ChunkSize - 1) / v.ChunkSize
-	return v.ChunkCount == wantChunks && len(v.ChunkHashes) == v.ChunkCount
+	return len(v.ChunkHashes) == (v.Size+v.ChunkSize-1)/v.ChunkSize
 }
 
 // chunkPlainLen returns the plaintext length of chunk idx.
@@ -135,7 +131,12 @@ func (v *VersionInfo) chunkPlainLen(idx int) int {
 
 // unitMetadata is the metadata object replicated on every cloud.
 type unitMetadata struct {
-	Unit     string        `json:"unit"`
+	Unit string `json:"unit"`
+	// Seq numbers the metadata writes of the unit: each write carries one
+	// more than the Seq its writer merged (see mergeMetadata). It is what
+	// lets a later write that omits a version (a deletion) outrank a stale
+	// copy that still lists it.
+	Seq      uint64        `json:"seq"`
 	Versions []VersionInfo `json:"versions"`
 
 	// certified marks version numbers whose entry was found byte-identical
@@ -144,10 +145,10 @@ type unitMetadata struct {
 	certified map[uint64]bool
 	// variants holds, per version number, every distinct copy seen during
 	// the merge, best first (the certified or richest one — the same entry
-	// that lands in Versions). The whole-object read path tries them in
-	// order: its end-to-end hash check exposes a forged best variant, and
-	// the next variant restores availability. Populated by mergeMetadata,
-	// never serialized.
+	// that lands in Versions). Whole-value reads try them in order: the
+	// end-to-end hash check exposes a forged best variant, and the next
+	// variant restores availability. Populated by mergeMetadata, never
+	// serialized.
 	variants map[uint64][]VersionInfo
 }
 
@@ -168,6 +169,25 @@ func (m *unitMetadata) find(hash string) *VersionInfo {
 		}
 	}
 	return nil
+}
+
+// byHash returns the variants whose plaintext hash is hash, best first, of
+// the version find(hash) resolves to, and whether the first of them is the
+// certified entry of that version (a forged variant that merely claims the
+// hash of a certified version never inherits its certification).
+func (m *unitMetadata) byHash(hash string) ([]VersionInfo, bool) {
+	info := m.find(hash)
+	if info == nil {
+		return nil, false
+	}
+	all := m.variantsOf(info.Number)
+	var matching []VersionInfo
+	for _, v := range all {
+		if v.DataHash == hash {
+			matching = append(matching, v)
+		}
+	}
+	return matching, m.certified[info.Number] && all[0].DataHash == hash
 }
 
 // variantsOf returns every distinct copy of one version number seen during
@@ -197,19 +217,19 @@ func (m *unitMetadata) newest() *VersionInfo {
 	return best
 }
 
-// block is what gets stored on one cloud for one version (CA protocol): an
-// erasure-coded shard of the ciphertext plus this cloud's share of the key.
-// It is serialized with the compact binary framing in wire.go, not JSON.
+// block is what gets stored on one cloud for one chunk of a version (CA
+// protocol): an erasure-coded shard of the chunk ciphertext plus this
+// cloud's share of the version key. It is serialized with the compact
+// binary framing in wire.go, not JSON.
 type block struct {
 	Shard    []byte
 	ShardIdx int
 	KeyX     byte
 	KeyShare []byte
-	// Full holds the whole value for the replication protocol (DepSky-A).
+	// Full holds the whole chunk for the replication protocol (DepSky-A).
 	Full []byte
-	// ChunkIdx and ChunkPlainLen locate a v2 chunked frame within its
-	// version: the chunk's index and how many plaintext bytes it carries.
-	// ChunkIdx is -1 for whole-object v1 frames.
+	// ChunkIdx and ChunkPlainLen locate the frame within its version: the
+	// chunk's index and how many plaintext bytes it carries.
 	ChunkIdx      int
 	ChunkPlainLen int
 }
@@ -225,9 +245,9 @@ type Options struct {
 	Protocol Protocol
 	// Prefix namespaces every object written by this manager.
 	Prefix string
-	// ChunkSize is the plaintext bytes per chunk for streamed writes
-	// (WriteFrom). Defaults to stream.DefaultChunkSize (1 MiB); values
-	// above MaxChunkSize are clamped to it (wire-protocol cap).
+	// ChunkSize is the plaintext bytes per chunk of every written version.
+	// Defaults to stream.DefaultChunkSize (1 MiB); values above
+	// MaxChunkSize are clamped to it (wire-protocol cap).
 	ChunkSize int
 	// WriteWindow bounds the number of chunks simultaneously resident in
 	// the streaming write pipeline. Defaults to stream.DefaultWindow.
@@ -339,10 +359,6 @@ func (m *Manager) metaName(unit string) string {
 	return m.opts.Prefix + "dsky/" + unit + "/metadata"
 }
 
-func (m *Manager) blockName(unit string, version uint64) string {
-	return fmt.Sprintf("%sdsky/%s/v%d/block", m.opts.Prefix, unit, version)
-}
-
 // --- metadata quorum operations ---
 
 // quorumCtx derives the per-operation context under which one quorum
@@ -357,13 +373,17 @@ func (m *Manager) quorumCtx(ctx context.Context) (context.Context, context.Cance
 }
 
 // readMetadataQuorum fetches the metadata object from the clouds and returns
-// the per-cloud results (nil for clouds that failed, were never contacted,
-// or have no metadata). Per the DepSky read protocol it waits for the first
-// n-f responses — a quorum is all an asynchronous system may wait for — then
+// the per-cloud results: nil for clouds that failed, answered with garbage
+// or were never contacted, an empty copy for clouds that hold no metadata
+// for the unit. Per the DepSky read protocol it waits for the first n-f
+// answers — a quorum is all an asynchronous system may wait for — then
 // cancels the remaining fetches: one straggling cloud no longer adds its
-// full round trip to every metadata operation. Any version anchored by a
-// write quorum overlaps any n-f responders in at least one correct cloud,
-// so the merged union still contains everything a reader is entitled to see.
+// full round trip to every metadata operation. A failed fetch is not an
+// answer, so the quorum still overlaps the last write quorum in f+1 copies;
+// when fewer than n-f clouds can answer at all, it returns what the rest
+// said once every fetch has finished. Any version anchored by a write
+// quorum overlaps any n-f answers in at least one correct cloud, so the
+// merged union still contains everything a reader is entitled to see.
 //
 // Under a hedge policy the fan-out is preferred-set-first: only the n-f
 // fastest clouds (per the latency tracker, or the policy's explicit order)
@@ -399,6 +419,10 @@ func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMe
 				return err
 			})
 			m.recordSpan(tr, "meta.get", i, start, gate.hedged(i), err)
+			if errors.Is(err, cloud.ErrNotFound) {
+				results <- fetched{idx: i, md: &unitMetadata{Unit: unit}}
+				return
+			}
 			if err != nil {
 				results <- fetched{idx: i}
 				return
@@ -412,16 +436,18 @@ func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMe
 		}(i, c)
 	}
 	out := make([]*unitMetadata, n)
-	for responded := 1; responded <= n; responded++ {
+	answered := 0
+	for finished := 0; finished < n; finished++ {
 		f := <-results
 		out[f.idx] = f.md
 		if f.md == nil {
-			// A failed (or absent) copy releases one gated cloud so the
-			// quorum of responses can still be assembled promptly.
+			// A failed copy releases one gated cloud so the quorum of
+			// answers can still be assembled promptly.
 			gate.kick()
+			continue
 		}
-		if responded >= m.QuorumSize() {
-			cancel() // quorum of responses in hand: abort the stragglers
+		if answered++; answered == m.QuorumSize() {
+			cancel() // quorum of answers in hand: abort the stragglers
 			if !m.opts.DisableQuorumCancel {
 				break
 			}
@@ -433,31 +459,50 @@ func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMe
 // mergeMetadata combines per-cloud metadata copies, keeping the union of
 // versions (a version written to a quorum appears in at least one correct
 // copy, so the union preserves the paper's availability: reads succeed as
-// long as any correct copy plus f+1 block holders are reachable).
+// long as any correct copy plus f+1 frame holders are reachable).
+//
+// The union alone would resurrect deleted versions: a deletion's metadata
+// write completes at n-f clouds, and a straggler keeps the copy that still
+// lists the version. So a version is dropped when at least f+1 copies omit
+// it while carrying a Seq above the highest Seq of the copies that list it:
+// f+1 copies include a correct cloud, so some write newer than every
+// listing copy really omitted the version. A single forged copy with an
+// inflated Seq cannot hide a live version. The merged Seq, which the next
+// write goes one above, is the (f+1)-th highest Seq of the copies: f+1
+// copies at or above it include a correct one, so a forged copy can
+// neither inflate it nor drive it to overflow, and without faulty clouds
+// it is the Seq of the last write (a quorum of answers holds f+1 copies of
+// it). A copy whose Seq leaves no room for a successor is rejected
+// outright.
 //
 // Additionally, every version entry found byte-identical on at least f+1
 // clouds is marked certified: a forged entry can live on at most the f
 // faulty clouds, so f+1 identical copies imply at least one correct cloud
-// vouches for it. Whole-object reads verify the final plaintext hash and
-// do not need certification, but the ranged read path trusts the per-chunk
-// frame hashes in the metadata with no end-to-end check — it only serves
-// certified entries and falls back to the verified whole-object path
-// otherwise (see openVersion). Among conflicting uncertified variants of
-// one number, the copy carrying more integrity hashes wins (corrupted or
-// truncated copies carry fewer).
+// vouches for it. Whole-value reads verify the final plaintext hash, but
+// the ranged read path trusts the per-chunk frame hashes in the metadata
+// with no end-to-end check — it only serves certified entries and falls
+// back to the verified whole-value path otherwise (see openVersion). Among
+// conflicting uncertified variants of one number, the copy carrying more
+// integrity hashes wins (corrupted or truncated copies carry fewer).
 func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetadata {
 	merged := &unitMetadata{Unit: unit, certified: make(map[uint64]bool), variants: make(map[uint64][]VersionInfo)}
 	type candidate struct {
 		info  VersionInfo
 		votes int
 	}
-	// votes[number][canonical-encoding] counts identical copies.
+	needed := m.opts.F + 1
+	// votes[number][canonical-encoding] counts identical copies;
+	// listedSeq[number] is the highest Seq of a copy listing the number.
 	votes := make(map[uint64]map[string]*candidate)
+	listedSeq := make(map[uint64]uint64)
+	seqs := make([]uint64, 0, len(copies))
 	for _, c := range copies {
-		if c == nil {
+		if !accepted(c) {
 			continue
 		}
+		seqs = append(seqs, c.Seq)
 		for _, v := range c.Versions {
+			listedSeq[v.Number] = max(listedSeq[v.Number], c.Seq)
 			enc, err := json.Marshal(v)
 			if err != nil {
 				continue
@@ -474,8 +519,14 @@ func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetada
 			}
 		}
 	}
-	needed := m.opts.F + 1
+	if len(seqs) > 0 {
+		slices.Sort(seqs)
+		merged.Seq = seqs[max(len(seqs)-needed, 0)]
+	}
 	for number, byEnc := range votes {
+		if seq := listedSeq[number]; seq < merged.Seq && omittedByNewer(copies, number, seq) >= needed {
+			continue
+		}
 		var best *candidate
 		for _, cand := range byEnc {
 			// A certified variant always wins; at most one can reach f+1
@@ -511,19 +562,36 @@ func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetada
 	return merged
 }
 
+// accepted reports whether a fetched copy takes part in the merge: it was
+// fetched and its Seq leaves room for a successor.
+func accepted(c *unitMetadata) bool { return c != nil && c.Seq < math.MaxUint64 }
+
+// omittedByNewer counts the accepted copies that do not list version number
+// although their Seq is above seq, the highest Seq of a copy that does.
+func omittedByNewer(copies []*unitMetadata, number, seq uint64) int {
+	count := 0
+	for _, c := range copies {
+		if accepted(c) && c.Seq > seq && !slices.ContainsFunc(c.Versions, func(v VersionInfo) bool { return v.Number == number }) {
+			count++
+		}
+	}
+	return count
+}
+
 // versionRichness orders conflicting uncertified copies of one version
 // number: the copy carrying more integrity hashes is the more complete one.
 func versionRichness(v VersionInfo) int {
-	n := len(v.BlockHashes)
+	n := 0
 	for _, h := range v.ChunkHashes {
 		n += len(h)
 	}
 	return n
 }
 
-// writeMetadataQuorum pushes the metadata object to all clouds and returns
-// nil once n-f acknowledged.
+// writeMetadataQuorum pushes the merged metadata object, numbered one above
+// the Seq merged, to all clouds and returns nil once n-f acknowledged.
 func (m *Manager) writeMetadataQuorum(ctx context.Context, md *unitMetadata) error {
+	md.Seq++
 	payload, err := json.Marshal(md)
 	if err != nil {
 		return fmt.Errorf("depsky: encoding metadata: %w", err)
@@ -650,86 +718,15 @@ func (m *Manager) writeQuorumHooked(ctx context.Context, name, kind string, payl
 
 // --- public API ---
 
-// Write stores data as the next version of unit and returns its version info.
-// SCFS serializes writers per file (via locks), matching DepSky's
-// single-writer register semantics. Cancelling ctx aborts the quorum
-// uploads; because the metadata anchoring the version is only written after
-// the blocks reach a quorum, a cancelled write never leaves a partially
-// visible version.
+// Write stores data as the next version of unit and returns its version
+// info. It is WriteFrom over the in-memory value: a value no larger than
+// the chunk size becomes a one-chunk version. SCFS serializes writers per
+// file (via locks), matching DepSky's single-writer register semantics.
+// Cancelling ctx aborts the quorum uploads; because the metadata anchoring
+// the version is only written after every chunk reached a quorum, a
+// cancelled write never leaves a partially visible version.
 func (m *Manager) Write(ctx context.Context, unit string, data []byte) (VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "write", unit)
-	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	var next uint64 = 1
-	if newest := merged.newest(); newest != nil {
-		next = newest.Number + 1
-	}
-
-	blocks, info, err := m.encode(data)
-	if err != nil {
-		return VersionInfo{}, err
-	}
-	info.Number = next
-
-	blockPayloads := make([][]byte, m.N())
-	for i := range blocks {
-		b := encodeBlock(info.Protocol, &blocks[i])
-		blockPayloads[i] = b
-		info.BlockHashes[i] = seccrypto.Hash(b)
-	}
-
-	if err := m.writeQuorum(ctx, m.blockName(unit, next), "block.put", func(i int) []byte { return blockPayloads[i] }); err != nil {
-		return VersionInfo{}, err
-	}
-	merged.Versions = append(merged.Versions, info)
-	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
-		return VersionInfo{}, err
-	}
-	return info, nil
-}
-
-// encode builds the per-cloud blocks for data according to the protocol.
-func (m *Manager) encode(data []byte) ([]block, VersionInfo, error) {
-	info := VersionInfo{
-		DataHash:    seccrypto.Hash(data),
-		Size:        len(data),
-		BlockHashes: make([]string, m.N()),
-		Protocol:    m.opts.Protocol,
-	}
-	blocks := make([]block, m.N())
-	if m.opts.Protocol == ProtocolA {
-		for i := range blocks {
-			blocks[i] = block{Full: data, ShardIdx: i}
-		}
-		return blocks, info, nil
-	}
-	key, err := seccrypto.NewKey()
-	if err != nil {
-		return nil, info, err
-	}
-	ciphertext, err := seccrypto.Encrypt(key, data)
-	if err != nil {
-		return nil, info, err
-	}
-	shards, err := m.coder.Split(ciphertext)
-	if err != nil {
-		return nil, info, fmt.Errorf("depsky: erasure coding: %w", err)
-	}
-	shares, err := secretshare.Split(key, m.N(), m.opts.F+1, nil)
-	if err != nil {
-		return nil, info, fmt.Errorf("depsky: secret sharing: %w", err)
-	}
-	for i := range blocks {
-		blocks[i] = block{
-			Shard:    shards[i],
-			ShardIdx: i,
-			KeyX:     shares[i].X,
-			KeyShare: shares[i].Data,
-		}
-	}
-	// The ciphertext length is not stored explicitly: it is info.Size plus
-	// the fixed IV prefix, which tryDecode uses to strip the shard padding.
-	return blocks, info, nil
+	return m.WriteFrom(ctx, unit, bytes.NewReader(data))
 }
 
 // Read returns the newest version of unit.
@@ -744,7 +741,7 @@ func (m *Manager) Read(ctx context.Context, unit string) ([]byte, VersionInfo, e
 		}
 		return nil, VersionInfo{}, ErrUnitNotFound
 	}
-	data, err := m.readVersionAny(ctx, unit, merged.variantsOf(newest.Number))
+	data, err := m.readVersionAny(ctx, unit, merged.variantsOf(newest.Number), merged.certified[newest.Number])
 	return data, *newest, err
 }
 
@@ -754,31 +751,26 @@ func (m *Manager) ReadMatching(ctx context.Context, unit, hash string) ([]byte, 
 	ctx, tr := m.opts.Tracer.Start(ctx, "read", unit)
 	defer tr.Finish()
 	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	info := merged.find(hash)
-	if info == nil {
+	matching, certified := merged.byHash(hash)
+	if len(matching) == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, VersionInfo{}, err
 		}
 		return nil, VersionInfo{}, ErrVersionNotFound
 	}
-	var matching []VersionInfo
-	for _, v := range merged.variantsOf(info.Number) {
-		if v.DataHash == hash {
-			matching = append(matching, v)
-		}
-	}
-	data, err := m.readVersionAny(ctx, unit, matching)
-	return data, *info, err
+	data, err := m.readVersionAny(ctx, unit, matching, certified)
+	return data, matching[0], err
 }
 
 // readVersionAny tries each metadata variant of one version, best first,
-// until one decodes and verifies end-to-end. Distinct variants only exist
-// when faulty clouds rewrote their metadata copies; the honest variant's
-// hashes then let the read succeed where the forged one fails integrity.
-func (m *Manager) readVersionAny(ctx context.Context, unit string, variants []VersionInfo) ([]byte, error) {
+// until one decodes and verifies end-to-end; certified says whether the
+// first variant is the certified entry. Distinct variants only exist when
+// faulty clouds rewrote their metadata copies; the honest variant's hashes
+// then let the read succeed where the forged one fails integrity.
+func (m *Manager) readVersionAny(ctx context.Context, unit string, variants []VersionInfo, certified bool) ([]byte, error) {
 	var lastErr error
-	for _, v := range variants {
-		data, err := m.readVersion(ctx, unit, v)
+	for i, v := range variants {
+		data, err := m.readChunkedVersion(ctx, unit, v, certified && i == 0)
 		if err == nil {
 			return data, nil
 		}
@@ -802,7 +794,7 @@ func (m *Manager) ListVersions(ctx context.Context, unit string) ([]VersionInfo,
 	return merged.Versions, nil
 }
 
-// DeleteVersion removes the blocks of one version from all clouds and drops
+// DeleteVersion removes the chunks of one version from all clouds and drops
 // it from the metadata (used by the SCFS garbage collector).
 func (m *Manager) DeleteVersion(ctx context.Context, unit string, number uint64) error {
 	ctx, tr := m.opts.Tracer.Start(ctx, "delete", unit)
@@ -826,7 +818,7 @@ func (m *Manager) DeleteVersion(ctx context.Context, unit string, number uint64)
 	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
 		return err
 	}
-	m.deleteVersionBlocks(ctx, unit, removed)
+	m.deleteChunks(ctx, unit, removed)
 	return nil
 }
 
@@ -863,7 +855,7 @@ func (m *Manager) DeleteVersions(ctx context.Context, unit string, numbers []uin
 		return 0, err
 	}
 	for _, v := range removed {
-		m.deleteVersionBlocks(ctx, unit, v)
+		m.deleteChunks(ctx, unit, v)
 	}
 	return len(removed), nil
 }
@@ -894,113 +886,12 @@ func (m *Manager) DeleteUnit(ctx context.Context, unit string) error {
 	return nil
 }
 
-// readVersion fetches blocks for the given version until it can reconstruct
-// and verify the value. The fan-out is first-quorum-wins: the moment enough
-// verified blocks have arrived to decode the value, the remaining per-cloud
-// fetches are cancelled instead of silently running on (each redundant fetch
-// costs a GET fee plus the block's worth of outbound traffic at that cloud).
-// Under a hedge policy only the f+1 preferred clouds are contacted up front;
-// the rest launch after the tracked delay percentile or on a preferred
-// cloud's failure (see dispatch.go).
-func (m *Manager) readVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
-	if info.Chunked() {
-		return m.readChunkedVersion(ctx, unit, info)
-	}
-	scratch := &decodeScratch{}
-	defer scratch.release()
-	pol := m.policyFor(ctx)
-	op := m.blockOp(info.Protocol, info.Size)
-	gate := m.newHedgeGate(pol, pol.Hedge, m.readNeed(info.Protocol), op)
-	tr := telemetry.FromContext(ctx)
-	opCtx, cancel := m.quorumCtx(ctx)
-	defer cancel()
-	name := m.blockName(unit, info.Number)
-	type fetched struct {
-		idx int
-		blk *block
-	}
-	results := make(chan fetched, m.N())
-	var wg sync.WaitGroup
-	for i, c := range m.opts.Clouds {
-		wg.Add(1)
-		go func(i int, c cloud.ObjectStore) {
-			defer wg.Done()
-			if !gate.enter(opCtx, i) {
-				m.recordGated(tr, "block.get", i, gate.hedged(i))
-				results <- fetched{idx: i}
-				return
-			}
-			start := time.Now()
-			var data []byte
-			err := m.timedCloudCall(opCtx, pol, i, op, func(ctx context.Context) error {
-				var err error
-				data, err = c.Get(ctx, name)
-				return err
-			})
-			m.recordSpan(tr, "block.get", i, start, gate.hedged(i), err)
-			if err != nil {
-				results <- fetched{idx: i}
-				return
-			}
-			// Discard blocks whose hash does not match the metadata (this is
-			// how silently corrupting clouds are tolerated).
-			if i < len(info.BlockHashes) && info.BlockHashes[i] != "" && !seccrypto.VerifyHash(data, info.BlockHashes[i]) {
-				results <- fetched{idx: i}
-				return
-			}
-			b, err := decodeBlock(data)
-			if err != nil {
-				results <- fetched{idx: i}
-				return
-			}
-			results <- fetched{idx: i, blk: b}
-		}(i, c)
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	blocks := make([]*block, m.N())
-	got := 0
-	for f := range results {
-		if f.blk == nil {
-			// An unusable response (failure, hash mismatch, bad frame)
-			// releases one gated cloud so the decode can still assemble
-			// enough shards without waiting out the hedge delay.
-			gate.kick()
-			continue
-		}
-		blocks[f.idx] = f.blk
-		got++
-		if data, err := m.tryDecode(blocks, info, scratch); err == nil {
-			if tr != nil {
-				tr.SetVerdict(time.Since(tr.Start))
-			}
-			cancel() // first quorum wins: abort the redundant fetches
-			return data, nil
-		} else if got >= m.readNeed(info.Protocol) {
-			// Enough shards arrived but the decode still failed (a corrupt
-			// or withheld share): pull in another cloud immediately.
-			gate.kick()
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if got == 0 {
-		return nil, ErrQuorumRead
-	}
-	// All responses are in; one final attempt with everything we have.
-	data, err := m.tryDecode(blocks, info, scratch)
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
 // decodeScratch hands out pooled buffers that are reused across the decode
-// attempts of one read (tryDecode runs once per arriving block, and a 1 MiB
-// degraded read used to allocate ~5 MB across those attempts). Buffers are
-// recycled by position: attempt k asks for the same sequence of sizes as
-// attempt k-1, so reset() lets the next attempt reuse them in place.
+// attempts of one chunk read (decodeChunk runs once per arriving frame, and
+// a degraded read would otherwise allocate afresh on every attempt).
+// Buffers are recycled by position: attempt k asks for the same sequence of
+// sizes as attempt k-1, so reset() lets the next attempt reuse them in
+// place.
 type decodeScratch struct {
 	bufs []([]byte)
 	next int
@@ -1037,91 +928,4 @@ func (s *decodeScratch) release() {
 	}
 	s.bufs = nil
 	s.next = 0
-}
-
-// tryDecode attempts to reconstruct and verify the value from the blocks
-// collected so far.
-func (m *Manager) tryDecode(blocks []*block, info VersionInfo, scratch *decodeScratch) ([]byte, error) {
-	scratch.reset()
-	if info.Protocol == ProtocolA {
-		for _, b := range blocks {
-			if b == nil || b.Full == nil {
-				continue
-			}
-			if seccrypto.Hash(b.Full) == info.DataHash {
-				return b.Full, nil
-			}
-		}
-		return nil, ErrIntegrity
-	}
-	// DepSky-CA: need f+1 shards and f+1 key shares.
-	needed := m.opts.F + 1
-	shards := make([][]byte, m.coder.TotalShards())
-	var shares []secretshare.Share
-	present := 0
-	for _, b := range blocks {
-		if b == nil || b.Shard == nil {
-			continue
-		}
-		if b.ShardIdx >= 0 && b.ShardIdx < len(shards) {
-			shards[b.ShardIdx] = b.Shard
-			present++
-		}
-		if b.KeyShare != nil {
-			shares = append(shares, secretshare.Share{X: b.KeyX, Data: b.KeyShare})
-		}
-	}
-	if present < needed || len(shares) < needed {
-		return nil, ErrQuorumRead
-	}
-	// Rebuild only the missing data shards (Join never reads parity), into
-	// scratch buffers reused across attempts.
-	missingData := 0
-	shardSize := 0
-	for i, s := range shards {
-		if s != nil {
-			shardSize = len(s)
-		} else if i < m.coder.DataShards {
-			missingData++
-		}
-	}
-	if err := m.coder.ReconstructDataInto(shards, scratch.get(missingData*shardSize)); err != nil {
-		return nil, fmt.Errorf("depsky: reconstructing: %w", err)
-	}
-	key, err := secretshare.Combine(shares, needed)
-	if err != nil {
-		return nil, fmt.Errorf("depsky: recovering key: %w", err)
-	}
-	// The ciphertext length is the plaintext length plus the IV prefix.
-	// info.Size is wire-decoded metadata that is only proven honest by the
-	// DataHash check at the end of this function — it must not size an
-	// allocation before then. The shards actually fetched bound it: a join
-	// can never yield more than DataShards full shards of ciphertext, so a
-	// forged Size is rejected here for bytes instead of panicking (or OOMing)
-	// make() below (the DecodeBatch bug class, metadata edition).
-	cipherLen := info.Size + seccrypto.CiphertextOverhead
-	if maxJoin := m.coder.DataShards * shardSize; info.Size < 0 || cipherLen < 0 || cipherLen > maxJoin {
-		return nil, fmt.Errorf("%w: metadata size %d inconsistent with %d fetched shard bytes", ErrIntegrity, info.Size, maxJoin)
-	}
-	ciphertext := scratch.get(cipherLen)
-	if err := m.coder.JoinInto(ciphertext, shards, cipherLen); err != nil {
-		return nil, fmt.Errorf("depsky: joining shards: %w", err)
-	}
-	plaintext, err := seccrypto.DecryptInto(make([]byte, info.Size), key, ciphertext)
-	if err != nil {
-		return nil, fmt.Errorf("depsky: decrypting: %w", err)
-	}
-	if seccrypto.Hash(plaintext) != info.DataHash {
-		return nil, ErrIntegrity
-	}
-	return plaintext, nil
-}
-
-// StorageFootprint returns how many bytes one version of the given size
-// occupies across all clouds under the configured protocol (used by the cost
-// model: ~1.5x for CA with f=1 versus 4x for replication). It is the byte
-// axis of EstimateFootprint; see footprint.go for the full cost model
-// including per-request fees.
-func (m *Manager) StorageFootprint(size int) int {
-	return int(m.EstimateFootprint(int64(size), false).Bytes)
 }

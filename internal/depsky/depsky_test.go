@@ -395,9 +395,9 @@ func TestDeleteUnitRemovesEverything(t *testing.T) {
 func TestStorageFootprint(t *testing.T) {
 	_, mCA := newManager(t, ProtocolCA)
 	_, mA := newManager(t, ProtocolA)
-	size := 1 << 20
-	ca := mCA.StorageFootprint(size)
-	a := mA.StorageFootprint(size)
+	size := int64(1 << 20)
+	ca := mCA.EstimateFootprint(size).Bytes
+	a := mA.EstimateFootprint(size).Bytes
 	// CA with f=1 stores ~1.5x the data; replication stores 4x.
 	ratioCA := float64(ca) / float64(size)
 	if ratioCA < 1.4 || ratioCA > 1.7 {

@@ -140,6 +140,10 @@ type hedgeGate struct {
 	fired, kicked, supp []*telemetry.Counter
 }
 
+// openGate is the inert gate of every unhedged fan-out; it holds no state,
+// so one value serves them all.
+var openGate = &hedgeGate{}
+
 // hedged reports whether cloud i sits behind the gate (a hedge-tier cloud
 // rather than a preferred one).
 func (g *hedgeGate) hedged(i int) bool {
@@ -152,7 +156,7 @@ func (g *hedgeGate) hedged(i int) bool {
 func (m *Manager) newHedgeGate(pol iopolicy.Policy, h iopolicy.Hedge, need int, op iopolicy.Op) *hedgeGate {
 	n := m.N()
 	if !h.Enabled() || need >= n {
-		return &hedgeGate{}
+		return openGate
 	}
 	order := m.rankClouds(pol, op)
 	pos := make([]int, n)

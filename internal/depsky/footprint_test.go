@@ -7,16 +7,17 @@ import (
 )
 
 // TestFootprintWeighsChunksAgainstBlocks is the point of the cost model:
-// for the same payload, the chunked layout stores roughly the same bytes
-// but multiplies objects and request fees by the chunk count — exactly the
-// axis StorageFootprint alone cannot see.
+// for the same payload, 16 small chunks store roughly the bytes of one big
+// chunk but multiply objects and request fees by the chunk count — exactly
+// the axis a byte count alone cannot see.
 func TestFootprintWeighsChunksAgainstBlocks(t *testing.T) {
 	const chunk = 4096
-	m, _, _ := hedgeManager(t, make([]time.Duration, 4), Options{ChunkSize: chunk})
-
 	const size = 16 * chunk
-	whole := m.EstimateFootprint(size, false)
-	chunked := m.EstimateFootprint(size, true)
+	m, _, _ := hedgeManager(t, make([]time.Duration, 4), Options{ChunkSize: chunk})
+	mWhole, _, _ := hedgeManager(t, make([]time.Duration, 4), Options{ChunkSize: size})
+
+	whole := mWhole.EstimateFootprint(size)
+	chunked := m.EstimateFootprint(size)
 
 	if whole.Objects != 3 { // one block on each of the n-f = 3 preferred clouds
 		t.Fatalf("whole-object Objects = %d, want 3", whole.Objects)
@@ -37,9 +38,9 @@ func TestFootprintWeighsChunksAgainstBlocks(t *testing.T) {
 	if chunked.Bytes < whole.Bytes || chunked.Bytes > 2*whole.Bytes {
 		t.Fatalf("chunked Bytes = %d vs whole %d: expected same order", chunked.Bytes, whole.Bytes)
 	}
-	// StorageFootprint remains the byte axis of the estimate.
-	if got := m.StorageFootprint(size); int64(got) != whole.Bytes {
-		t.Fatalf("StorageFootprint = %d, want %d", got, whole.Bytes)
+	// A whole read downloads f+1 of the n-f stored shards.
+	if whole.ReadBytes*3 != whole.Bytes*2 || chunked.ReadBytes*3 != chunked.Bytes*2 {
+		t.Fatalf("ReadBytes %d/%d not 2/3 of Bytes %d/%d", whole.ReadBytes, chunked.ReadBytes, whole.Bytes, chunked.Bytes)
 	}
 }
 
@@ -55,16 +56,19 @@ func TestVersionFootprintMatchesStoredVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.VersionFootprint(info)
-	want := m.EstimateFootprint(int64(len(data)), true)
+	want := m.EstimateFootprint(int64(len(data)))
 	if got != want {
 		t.Fatalf("VersionFootprint %+v != EstimateFootprint %+v", got, want)
 	}
 
-	whole, err2 := m.Write(bg, "w", data)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if got := m.VersionFootprint(whole); got != m.EstimateFootprint(int64(len(data)), false) {
-		t.Fatalf("whole-object VersionFootprint mismatch: %+v", got)
+	// Write stores the same layout as WriteFrom, a short value included.
+	for _, size := range []int{len(data), 100} {
+		v, err := m.Write(bg, "w", data[:size])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.VersionFootprint(v); got != m.EstimateFootprint(int64(size)) {
+			t.Fatalf("%d B: Write VersionFootprint %+v != EstimateFootprint", size, got)
+		}
 	}
 }

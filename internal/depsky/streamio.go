@@ -1,25 +1,25 @@
 package depsky
 
-// Streaming data plane: chunked writes and ranged reads.
+// Chunked data plane: every write and read of a version goes through here.
 //
-// The slice-based API (Write/Read) materializes the ciphertext and every
-// erasure shard of a version in memory before the first byte reaches a
-// cloud — ~2.5x the value size resident for DepSky-CA. The entry points in
-// this file bound that: WriteFrom consumes an io.Reader in fixed-size
-// chunks and overlaps encrypt → erasure-encode → per-shard hash → quorum
-// upload across a small window of in-flight chunks (see internal/stream),
-// and Open/OpenRange fetch — and, under faults, reconstruct — only the
-// chunks covering the requested byte range, reusing the coder's cached
-// decode matrices. All chunk, shard and frame buffers come from the
-// process-wide stream.Buffers pool shared with the whole-object read path.
+// WriteFrom (and Write, over an in-memory value) consumes the value in
+// fixed-size chunks and overlaps encrypt → erasure-encode → per-shard hash
+// → quorum upload across a small window of in-flight chunks (see
+// internal/stream), so only a few chunks are resident whatever the value
+// size. Read reassembles a whole version chunk by chunk; Open/OpenRange
+// fetch — and, under faults, reconstruct — only the chunks covering the
+// requested byte range, reusing the coder's cached decode matrices. All
+// chunk, shard and frame buffers come from the process-wide stream.Buffers
+// pool.
 
 import (
+	"bytes"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scfs/internal/cloud"
@@ -30,7 +30,7 @@ import (
 	"scfs/internal/telemetry"
 )
 
-// chunkSize returns the configured streamed-write chunk size, clamped to
+// chunkSize returns the configured write chunk size, clamped to
 // the wire-protocol cap (readers reject metadata declaring more, so a
 // larger configured value would write unreadable versions).
 func (m *Manager) chunkSize() int {
@@ -62,15 +62,15 @@ type encodedChunk struct {
 	hashes []string
 }
 
-// WriteFrom streams r as the next version of unit using the chunked v2
-// layout. At most WriteWindow chunks are resident at any moment, so the
-// peak memory of a write is ~3 chunk windows regardless of the stream
-// length; per-shard hashing of one chunk runs concurrently with the quorum
-// uploads of earlier chunks. The returned VersionInfo carries the SHA-256
-// of the whole plaintext stream, computed incrementally.
+// WriteFrom streams r as the next version of unit. At most WriteWindow
+// chunks are resident at any moment, so the peak memory of a write is ~3
+// chunk windows regardless of the stream length; per-shard hashing of one
+// chunk runs concurrently with the quorum uploads of earlier chunks. The
+// returned VersionInfo carries the SHA-256 of the whole plaintext stream,
+// computed incrementally.
 //
-// Like Write, WriteFrom assumes a single writer per data unit (SCFS
-// serializes writers via its lock service).
+// WriteFrom assumes a single writer per data unit (SCFS serializes writers
+// via its lock service).
 //
 // Cancelling ctx aborts the in-flight chunk uploads and returns ctx.Err().
 // The version metadata is only written after every chunk reached its quorum,
@@ -79,7 +79,7 @@ type encodedChunk struct {
 // invisible to readers and reclaimed when the version number is reused or
 // the unit is deleted.
 func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "write.stream", unit)
+	ctx, tr := m.opts.Tracer.Start(ctx, "write", unit)
 	defer tr.Finish()
 	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
 	var next uint64 = 1
@@ -132,14 +132,13 @@ func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (Vers
 	}
 
 	info := VersionInfo{
-		Number:     next,
-		DataHash:   hex.EncodeToString(res.Sum256[:]),
-		Size:       int(res.Size),
-		Protocol:   m.opts.Protocol,
-		ChunkSize:  m.chunkSize(),
-		ChunkCount: res.Chunks,
+		Number:      next,
+		DataHash:    seccrypto.HexSum(res.Sum256),
+		Size:        int(res.Size),
+		Protocol:    m.opts.Protocol,
+		ChunkSize:   m.chunkSize(),
+		ChunkHashes: chunkHashes[:res.Chunks],
 	}
-	info.ChunkHashes = chunkHashes[:res.Chunks]
 	merged.Versions = append(merged.Versions, info)
 	if err := m.writeMetadataQuorum(ctx, merged); err != nil {
 		return VersionInfo{}, err
@@ -147,7 +146,7 @@ func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (Vers
 	return info, nil
 }
 
-// encodeChunk builds the per-cloud v2 frames for one plaintext chunk:
+// encodeChunk builds the per-cloud frames for one plaintext chunk:
 // encrypt (CA), erasure-split, frame, hash. Every buffer it touches comes
 // from (and returns to) the shared pool; the returned frames are pooled by
 // the upload stage once all clouds are done with them.
@@ -157,8 +156,8 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 	if m.opts.Protocol == ProtocolA {
 		for i := 0; i < n; i++ {
 			b := block{Full: plain, ShardIdx: i, ChunkIdx: idx, ChunkPlainLen: len(plain)}
-			frame := stream.Buffers.Get(frameLenV2(0, len(plain)))
-			encodeBlockV2(frame, ProtocolA, &b)
+			frame := stream.Buffers.Get(frameLen(0, len(plain)))
+			encodeFrame(frame, ProtocolA, &b)
 			ec.frames[i] = frame
 			ec.hashes[i] = seccrypto.Hash(frame)
 		}
@@ -186,20 +185,20 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 			ChunkIdx:      idx,
 			ChunkPlainLen: len(plain),
 		}
-		frame := stream.Buffers.Get(frameLenV2(len(shares[i].Data), len(shards[i])))
-		encodeBlockV2(frame, ProtocolCA, &b)
+		frame := stream.Buffers.Get(frameLen(len(shares[i].Data), len(shards[i])))
+		encodeFrame(frame, ProtocolCA, &b)
 		ec.frames[i] = frame
 		ec.hashes[i] = seccrypto.Hash(frame)
 	}
 	return ec, nil
 }
 
-// --- ranged reads ---
+// --- reads ---
 
-// Open returns a random-access reader over the newest version of unit.
-// Chunked versions fetch only the chunks a read touches; v1 whole-object
-// versions fall back to fetching the full value on first access. The ctx
-// bounds only the metadata lookup performed here; each read through the
+// Open returns a random-access reader over the newest version of unit. A
+// certified version fetches only the chunks a read touches; an uncertified
+// one is fetched whole and verified on first access (see openVersion). The
+// ctx bounds only the metadata lookup performed here; each read through the
 // returned reader carries its own context (ReadAtContext / Section).
 func (m *Manager) Open(ctx context.Context, unit string) (*stream.Reader, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
@@ -212,7 +211,7 @@ func (m *Manager) Open(ctx context.Context, unit string) (*stream.Reader, Versio
 		}
 		return nil, VersionInfo{}, ErrUnitNotFound
 	}
-	return m.openVersion(ctx, unit, *newest, merged.certified[newest.Number], merged.variantsOf(newest.Number)), *newest, nil
+	return m.openVersion(ctx, unit, merged.variantsOf(newest.Number), merged.certified[newest.Number]), *newest, nil
 }
 
 // OpenMatching is Open for the version whose plaintext hash equals hash
@@ -221,27 +220,20 @@ func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
 	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	info := merged.find(hash)
-	if info == nil {
+	matching, certified := merged.byHash(hash)
+	if len(matching) == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, VersionInfo{}, err
 		}
 		return nil, VersionInfo{}, ErrVersionNotFound
 	}
-	var matching []VersionInfo
-	for _, v := range merged.variantsOf(info.Number) {
-		if v.DataHash == hash {
-			matching = append(matching, v)
-		}
-	}
-	return m.openVersion(ctx, unit, *info, merged.certified[info.Number], matching), *info, nil
+	return m.openVersion(ctx, unit, matching, certified), matching[0], nil
 }
 
 // ErrWholeObjectOnly is returned by OpenRangedMatching for versions the
-// manager cannot serve by per-chunk ranged fetches (v1 layouts, or chunked
-// entries that are uncertified or malformed): callers should fall back to
-// a whole-object read path, which verifies the full value hash and can
-// cache the result.
+// manager cannot serve by per-chunk ranged fetches (uncertified or
+// malformed entries): callers should fall back to a whole-value read path,
+// which verifies the full value hash and can cache the result.
 var ErrWholeObjectOnly = errors.New("depsky: version requires the whole-object read path")
 
 // OpenRangedMatching is OpenMatching restricted to genuinely ranged
@@ -251,17 +243,18 @@ func (m *Manager) OpenRangedMatching(ctx context.Context, unit, hash string) (*s
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
 	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	info := merged.find(hash)
-	if info == nil {
+	matching, certified := merged.byHash(hash)
+	if len(matching) == 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, VersionInfo{}, err
 		}
 		return nil, VersionInfo{}, ErrVersionNotFound
 	}
-	if !info.Chunked() || !merged.certified[info.Number] || !info.validChunking() {
-		return nil, *info, ErrWholeObjectOnly
+	info := matching[0]
+	if !certified || !info.validChunking() {
+		return nil, info, ErrWholeObjectOnly
 	}
-	return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: *info}), *info, nil
+	return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: info}), info, nil
 }
 
 // newChunkReader wraps a fetcher in a stream.Reader configured from the
@@ -298,60 +291,91 @@ func (m *Manager) OpenRange(ctx context.Context, unit string, off, length int64)
 	return r.Section(ctx, off, length), info, nil
 }
 
-// openVersion builds the stream.Reader for one version. Chunks are served
-// individually only for certified chunked entries with consistent geometry:
-// the per-chunk path has no end-to-end plaintext hash check, so its trust
-// rests on the metadata's ChunkHashes, which certification pins to at
-// least one correct cloud. Anything else — v1 layouts, uncertified or
-// malformed entries — goes through the whole-object path, which verifies
-// the full value against DataHash before serving any byte (trying every
-// metadata variant, so a forged uncertified copy costs a retry, not the
-// read). The ctx supplies the open-time I/O policy (readahead window,
-// hedging defaults for the reader's own prefetches).
-func (m *Manager) openVersion(ctx context.Context, unit string, info VersionInfo, certified bool, variants []VersionInfo) *stream.Reader {
-	if info.Chunked() && certified && info.validChunking() {
-		return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: info})
+// openVersion builds the stream.Reader for one version from its metadata
+// variants, best first; certified says whether the first is the certified
+// entry. Chunks are served individually only for a certified entry with
+// consistent geometry: the per-chunk path has no end-to-end plaintext hash
+// check, so its trust rests on the metadata's ChunkHashes, which
+// certification pins to at least one correct cloud. An uncertified or
+// malformed entry goes through the whole-value path, which verifies the
+// full value against DataHash before serving any byte (trying every
+// variant, so a forged uncertified copy costs a retry, not the read). The
+// ctx supplies the open-time I/O policy (readahead window, hedging defaults
+// for the reader's own prefetches).
+func (m *Manager) openVersion(ctx context.Context, unit string, variants []VersionInfo, certified bool) *stream.Reader {
+	if certified && variants[0].validChunking() {
+		return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: variants[0]})
 	}
-	if len(variants) == 0 {
-		variants = []VersionInfo{info}
-	}
-	return stream.NewReader(&wholeFetcher{m: m, unit: unit, info: info, variants: variants}, stream.Buffers)
+	return stream.NewReader(&wholeFetcher{m: m, unit: unit, variants: variants}, stream.Buffers)
 }
 
-// readChunkedVersion reassembles a full chunked version (the whole-object
-// Read path for v2 versions) and verifies the stream hash. Chunks are
-// fetched with a bounded-parallel window so the read costs
+// readChunkedVersion reassembles a whole version and verifies its stream
+// hash. A bounded window of workers fetches the chunks, so the read costs
 // ceil(chunks/window) round-trip times, not one per chunk.
-func (m *Manager) readChunkedVersion(ctx context.Context, unit string, info VersionInfo) ([]byte, error) {
+//
+// An uncertified variant's geometry is the word of a possibly forged copy,
+// so it sizes no buffer before frames vouch for it: each chunk's buffer is
+// allocated only once f+1 frames (one for DepSky-A) verified against the
+// variant's hashes and agree with its chunk index and length, which bounds
+// the buffer by the shard bytes actually fetched; the chunks are joined at
+// the end. A certified variant is reassembled in place.
+func (m *Manager) readChunkedVersion(ctx context.Context, unit string, info VersionInfo, certified bool) ([]byte, error) {
 	if !info.validChunking() {
-		return nil, fmt.Errorf("%w: inconsistent chunk geometry (size %d, chunk %d x %d)", ErrIntegrity, info.Size, info.ChunkSize, info.ChunkCount)
+		return nil, fmt.Errorf("%w: inconsistent chunk geometry (size %d, chunk %d x %d)", ErrIntegrity, info.Size, info.ChunkSize, len(info.ChunkHashes))
 	}
+	chunks := len(info.ChunkHashes)
+	var whole []byte
+	var parts [][]byte // uncertified: one buffer per decoded chunk
+	if certified {
+		whole = make([]byte, info.Size)
+	} else {
+		parts = make([][]byte, chunks)
+	}
+	dst := func(idx int) []byte {
+		if certified {
+			start := idx * info.ChunkSize
+			return whole[start : start+info.chunkPlainLen(idx)]
+		}
+		parts[idx] = make([]byte, info.chunkPlainLen(idx))
+		return parts[idx]
+	}
+
 	f := &chunkFetcher{m: m, unit: unit, info: info}
-	out := make([]byte, info.Size)
-	window := m.writeWindow()
-	sem := make(chan struct{}, window)
-	errs := make(chan error, info.ChunkCount)
-	var wg sync.WaitGroup
-	for idx := 0; idx < info.ChunkCount; idx++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs <- err
+	errs := make([]error, min(m.writeWindow(), chunks)) // one per worker
+	var next atomic.Int64
+	var failed atomic.Bool // one lost chunk fails the read: fetch no more
+	work := func(w int) {
+		for idx := int(next.Add(1) - 1); idx < chunks && !failed.Load(); idx = int(next.Add(1) - 1) {
+			if errs[w] = f.fetch(ctx, idx, dst); errs[w] != nil {
+				failed.Store(true)
 				return
 			}
-			start := idx * info.ChunkSize
-			if err := f.Fetch(ctx, idx, out[start:start+info.chunkPlainLen(idx)]); err != nil {
-				errs <- err
-			}
-		}(idx)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < len(errs); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	if len(errs) > 0 {
+		work(0) // the calling goroutine is one of the workers
 	}
 	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	out := whole
+	if !certified {
+		if chunks == 1 {
+			out = parts[0]
+		} else {
+			out = bytes.Join(parts, nil)
+		}
 	}
 	if seccrypto.Hash(out) != info.DataHash {
 		return nil, ErrIntegrity
@@ -359,7 +383,7 @@ func (m *Manager) readChunkedVersion(ctx context.Context, unit string, info Vers
 	return out, nil
 }
 
-// chunkFetcher decodes individual chunks of a v2 version. The secret-shared
+// chunkFetcher decodes individual chunks of a version. The secret-shared
 // key is combined once on the first chunk and cached for the rest of the
 // read.
 type chunkFetcher struct {
@@ -394,34 +418,38 @@ func (f *chunkFetcher) setKey(key []byte) {
 	f.mu.Unlock()
 }
 
-// Fetch implements stream.Fetcher: fan the chunk's frame reads over the
-// clouds, verify each frame against the metadata hashes, and decode as soon
-// as enough verified frames arrived — reconstructing missing shards for
-// degraded reads. The moment a decode succeeds the remaining per-cloud
-// fetches are cancelled (first quorum wins); cancelling ctx aborts the whole
-// fan-out and returns ctx.Err(). Under a hedge policy (carried by ctx) only
-// the f+1 preferred clouds are contacted up front, the rest after the
-// tracked delay percentile or on a preferred cloud's failure.
+// Fetch implements stream.Fetcher: decode chunk idx into dst.
 func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
+	if idx < 0 || idx >= len(f.info.ChunkHashes) {
+		return fmt.Errorf("depsky: chunk %d out of range (version has %d)", idx, len(f.info.ChunkHashes))
+	}
+	if len(dst) != f.info.chunkPlainLen(idx) {
+		return fmt.Errorf("depsky: chunk %d buffer is %d bytes, want %d", idx, len(dst), f.info.chunkPlainLen(idx))
+	}
+	return f.fetch(ctx, idx, func(int) []byte { return dst })
+}
+
+// fetch fans chunk idx's frame reads over the clouds, verifies each frame
+// against the metadata hashes and geometry, and decodes as soon as enough
+// verified frames arrived — reconstructing missing shards for degraded
+// reads — into dst(idx), which is called at most once and only then. The
+// moment a decode succeeds the remaining per-cloud fetches are cancelled
+// (first quorum wins); cancelling ctx aborts the whole fan-out and returns
+// ctx.Err(). Under a hedge policy (carried by ctx) only the f+1 preferred
+// clouds are contacted up front, the rest after the tracked delay
+// percentile or on a preferred cloud's failure.
+func (f *chunkFetcher) fetch(ctx context.Context, idx int, dst func(idx int) []byte) error {
 	m := f.m
-	info := f.info
-	if idx < 0 || idx >= info.ChunkCount {
-		return fmt.Errorf("depsky: chunk %d out of range (version has %d)", idx, info.ChunkCount)
-	}
-	if len(dst) != info.chunkPlainLen(idx) {
-		return fmt.Errorf("depsky: chunk %d buffer is %d bytes, want %d", idx, len(dst), info.chunkPlainLen(idx))
-	}
-	var hashes []string
-	if idx < len(info.ChunkHashes) {
-		hashes = info.ChunkHashes[idx]
-	}
+	protocol := f.info.Protocol
+	hashes := f.info.ChunkHashes[idx]
+	plainLen := f.info.chunkPlainLen(idx)
 	pol := m.policyFor(ctx)
-	op := m.blockOp(info.Protocol, len(dst))
-	gate := m.newHedgeGate(pol, pol.Hedge, m.readNeed(info.Protocol), op)
+	op := m.blockOp(protocol, plainLen)
+	gate := m.newHedgeGate(pol, pol.Hedge, m.readNeed(protocol), op)
 	tr := telemetry.FromContext(ctx)
 	opCtx, cancel := m.quorumCtx(ctx)
 	defer cancel()
-	name := m.chunkName(f.unit, info.Number, idx)
+	name := m.chunkName(f.unit, f.info.Number, idx)
 	results := make(chan *block, m.N())
 	var wg sync.WaitGroup
 	for i, c := range m.opts.Clouds {
@@ -441,22 +469,15 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 				return err
 			})
 			m.recordSpan(tr, "chunk.get", i, start, gate.hedged(i), err)
-			if err != nil {
-				results <- nil
-				return
-			}
 			// Discard frames whose hash does not match the metadata (this
-			// is how silently corrupting clouds are tolerated).
-			if i < len(hashes) && hashes[i] != "" && !seccrypto.VerifyHash(data, hashes[i]) {
+			// is how silently corrupting clouds are tolerated) or whose
+			// header disagrees with the version's geometry.
+			if err != nil || i >= len(hashes) || !seccrypto.VerifyHash(data, hashes[i]) {
 				results <- nil
 				return
 			}
 			b, err := decodeBlock(data)
-			if err != nil || b.ChunkIdx != idx || b.ChunkPlainLen != len(dst) {
-				results <- nil
-				return
-			}
-			if b.ShardIdx != i {
+			if err != nil || !m.frameFits(b, protocol, i, idx, plainLen) {
 				results <- nil
 				return
 			}
@@ -465,65 +486,74 @@ func (f *chunkFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	}
 	go func() { wg.Wait(); close(results) }()
 
+	var plain []byte
+	chunkDst := func() []byte { // dst is called at most once
+		if plain == nil {
+			plain = dst(idx)
+		}
+		return plain
+	}
 	scratch := &decodeScratch{}
 	defer scratch.release()
 	blocks := make([]*block, 0, m.N())
-	got := 0
 	for b := range results {
 		if b == nil {
 			gate.kick() // unusable response: release one gated cloud
 			continue
 		}
 		blocks = append(blocks, b)
-		got++
-		if err := f.decodeChunk(idx, blocks, dst, scratch); err == nil {
+		if err := f.decodeChunk(idx, blocks, chunkDst, scratch); err == nil {
 			if tr != nil {
 				tr.SetVerdict(time.Since(tr.Start))
 			}
 			cancel() // first quorum wins: abort the redundant fetches
 			return nil
-		} else if got >= m.readNeed(info.Protocol) {
+		} else if len(blocks) >= m.readNeed(protocol) {
 			gate.kick() // enough frames but no decode yet: pull in another
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if got == 0 {
+	if len(blocks) == 0 {
 		return ErrQuorumRead
 	}
-	return f.decodeChunk(idx, blocks, dst, scratch)
+	return f.decodeChunk(idx, blocks, chunkDst, scratch)
 }
 
-// decodeChunk attempts to decode one chunk into dst from the verified
-// frames collected so far.
-func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch *decodeScratch) error {
+// frameFits reports whether a decoded frame fetched from cloud i is chunk
+// idx of a version with the given protocol, carrying plainLen plaintext
+// bytes, and whether its payload length matches that geometry — so a frame
+// can only vouch for a chunk length its own bytes account for.
+func (m *Manager) frameFits(b *block, protocol Protocol, i, idx, plainLen int) bool {
+	if b.ShardIdx != i || b.ChunkIdx != idx || b.ChunkPlainLen != plainLen {
+		return false
+	}
+	if protocol == ProtocolA {
+		return b.Full != nil && len(b.Full) == plainLen
+	}
+	return b.Shard != nil && len(b.Shard) == m.coder.ShardSize(plainLen+seccrypto.CiphertextOverhead)
+}
+
+// decodeChunk attempts to decode chunk idx into dst() from the verified
+// frames collected so far; dst is only called once enough frames arrived.
+func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst func() []byte, scratch *decodeScratch) error {
 	m := f.m
 	scratch.reset()
 	if f.info.Protocol == ProtocolA {
-		for _, b := range blocks {
-			if b.Full != nil && len(b.Full) == len(dst) {
-				copy(dst, b.Full)
-				return nil
-			}
-		}
-		return ErrQuorumRead
+		copy(dst(), blocks[0].Full)
+		return nil
 	}
 
 	needed := m.opts.F + 1
 	shards := make([][]byte, m.coder.TotalShards())
 	var shares []secretshare.Share
 	present := 0
-	shardSize := 0
 	for _, b := range blocks {
-		if b.Shard == nil || b.ShardIdx < 0 || b.ShardIdx >= len(shards) {
-			continue
-		}
 		if shards[b.ShardIdx] == nil {
 			present++
 		}
 		shards[b.ShardIdx] = b.Shard
-		shardSize = len(b.Shard)
 		if b.KeyShare != nil {
 			shares = append(shares, secretshare.Share{X: b.KeyX, Data: b.KeyShare})
 		}
@@ -541,6 +571,7 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 		f.setKey(key)
 	}
 
+	shardSize := len(blocks[0].Shard)
 	missingData := 0
 	for i := 0; i < m.coder.DataShards; i++ {
 		if shards[i] == nil {
@@ -550,27 +581,27 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst []byte, scratch
 	if err := m.coder.ReconstructDataInto(shards, scratch.get(missingData*shardSize)); err != nil {
 		return fmt.Errorf("depsky: reconstructing chunk %d: %w", idx, err)
 	}
-	cipherLen := len(dst) + seccrypto.CiphertextOverhead
+	plain := dst()
+	cipherLen := len(plain) + seccrypto.CiphertextOverhead
 	ciphertext := scratch.get(cipherLen)
 	if err := m.coder.JoinInto(ciphertext, shards, cipherLen); err != nil {
 		return fmt.Errorf("depsky: joining chunk %d: %w", idx, err)
 	}
-	if _, err := seccrypto.DecryptInto(dst, key, ciphertext); err != nil {
+	if _, err := seccrypto.DecryptInto(plain, key, ciphertext); err != nil {
 		return fmt.Errorf("depsky: decrypting chunk %d: %w", idx, err)
 	}
 	return nil
 }
 
-// wholeFetcher adapts a whole-object-read version to the chunk interface so
-// v1 (and uncertified chunked) units stay readable through Open/OpenRange:
-// the full value is fetched (and verified) once, on first access, and
+// wholeFetcher adapts the whole-value read to the chunk interface so
+// uncertified versions stay readable through Open/OpenRange: the full value
+// is fetched (and verified against its hash) once, on first access, and
 // served as one chunk.
 type wholeFetcher struct {
 	m    *Manager
 	unit string
-	info VersionInfo
 	// variants are the metadata copies to try, best first (see
-	// readVersionAny).
+	// readVersionAny); none of them is certified.
 	variants []VersionInfo
 
 	mu      sync.Mutex
@@ -579,31 +610,26 @@ type wholeFetcher struct {
 }
 
 // Size implements stream.Fetcher.
-func (f *wholeFetcher) Size() int64 { return int64(f.info.Size) }
+func (f *wholeFetcher) Size() int64 { return int64(f.variants[0].Size) }
 
 // ChunkSize implements stream.Fetcher: the whole value is one chunk.
-func (f *wholeFetcher) ChunkSize() int {
-	if f.info.Size == 0 {
-		return 1
-	}
-	return f.info.Size
-}
+func (f *wholeFetcher) ChunkSize() int { return max(f.variants[0].Size, 1) }
 
 // Close implements stream.Fetcher.
 func (f *wholeFetcher) Close() error { return nil }
 
-// Fetch implements stream.Fetcher. The one whole-object fetch runs under
-// the context of whichever read triggers it first; a failed fetch (a
-// cancelled caller, a transient quorum shortfall) is not latched, so a
-// later read with a live context retries it.
+// Fetch implements stream.Fetcher. The one whole-value fetch runs under the
+// context of whichever read triggers it first; a failed fetch (a cancelled
+// caller, a transient quorum shortfall) is not latched, so a later read
+// with a live context retries it.
 func (f *wholeFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	if idx != 0 {
-		return fmt.Errorf("depsky: whole-object version has one chunk, got request for %d", idx)
+		return fmt.Errorf("depsky: whole-value reader has one chunk, got request for %d", idx)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.fetched {
-		data, err := f.m.readVersionAny(ctx, f.unit, f.variants)
+		data, err := f.m.readVersionAny(ctx, f.unit, f.variants, false)
 		if err != nil {
 			return err
 		}
@@ -616,16 +642,12 @@ func (f *wholeFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
 	return nil
 }
 
-// DeleteVersionBlocks removes the per-cloud objects of one version,
-// handling both layouts; used by DeleteVersion.
-func (m *Manager) deleteVersionBlocks(ctx context.Context, unit string, info VersionInfo) {
-	names := make([]string, 0, 1+info.ChunkCount)
-	if info.Chunked() {
-		for idx := 0; idx < info.ChunkCount; idx++ {
-			names = append(names, m.chunkName(unit, info.Number, idx))
-		}
-	} else {
-		names = append(names, m.blockName(unit, info.Number))
+// deleteChunks removes the per-cloud chunk objects of one version; used by
+// DeleteVersion.
+func (m *Manager) deleteChunks(ctx context.Context, unit string, info VersionInfo) {
+	names := make([]string, len(info.ChunkHashes))
+	for idx := range names {
+		names[idx] = m.chunkName(unit, info.Number, idx)
 	}
 	var wg sync.WaitGroup
 	for _, c := range m.opts.Clouds {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"testing"
 
+	"scfs/internal/cloud"
 	"scfs/internal/cloudsim"
 	"scfs/internal/seccrypto"
 )
@@ -48,7 +49,7 @@ func TestWriteFromChunkBoundaries(t *testing.T) {
 				t.Fatalf("%s size %d: WriteFrom: %v", protocol, size, err)
 			}
 			wantChunks := (size + cs - 1) / cs
-			if info.Size != size || info.ChunkSize != cs || info.ChunkCount != wantChunks {
+			if info.Size != size || info.ChunkSize != cs {
 				t.Fatalf("%s size %d: info = %+v", protocol, size, info)
 			}
 			if len(info.ChunkHashes) != wantChunks {
@@ -212,8 +213,8 @@ func TestWriteFromMidStreamCloudFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteFrom with mid-stream failure: %v", err)
 	}
-	if info.ChunkCount != 10 {
-		t.Fatalf("chunk count = %d", info.ChunkCount)
+	if len(info.ChunkHashes) != 10 {
+		t.Fatalf("chunk count = %d", len(info.ChunkHashes))
 	}
 	got, _, err := m.Read(bg, "u")
 	if err != nil {
@@ -232,66 +233,62 @@ func TestWriteFromMidStreamCloudFailure(t *testing.T) {
 	}
 }
 
-// TestV1V2Compatibility: units written whole-object (v1) stay readable
-// through every read path after the upgrade, and v1/v2 versions coexist in
-// one unit's history.
-func TestV1V2Compatibility(t *testing.T) {
+// TestWriteIsChunked: Write stores the same chunked layout as WriteFrom —
+// a value larger than the chunk size is cut into chunks, served by ranged
+// reads — and versions from both entry points coexist in one unit's
+// history, each addressable by hash.
+func TestWriteIsChunked(t *testing.T) {
 	const cs = 4096
 	_, m := newChunkedManager(t, ProtocolCA, cs)
-	v1Data := randBytes(t, 2*cs+11) // bigger than a chunk, written whole
-	infoV1, err := m.Write(bg, "u", v1Data)
+	data1 := randBytes(t, 2*cs+11)
+	info1, err := m.Write(bg, "u", data1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infoV1.Chunked() {
-		t.Fatal("Write produced a chunked version")
+	if info1.ChunkSize != cs || len(info1.ChunkHashes) != 3 {
+		t.Fatalf("Write stored %d chunks of %d, want 3 of %d", len(info1.ChunkHashes), info1.ChunkSize, cs)
 	}
 
-	// v1 versions serve ranged reads via the whole-object fallback.
-	r, info, err := m.OpenRange(bg, "u", 100, 50)
+	r, _, err := m.OpenRange(bg, "u", 100, 50)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if info.Chunked() {
-		t.Fatal("newest version should be v1")
 	}
 	got, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
-	if !bytes.Equal(got, v1Data[100:150]) {
-		t.Fatal("v1 ranged read mismatch")
+	if !bytes.Equal(got, data1[100:150]) {
+		t.Fatal("ranged read of a Write version mismatch")
 	}
 
-	// A streamed write appends a v2 version on top of the v1 history.
-	v2Data := randBytes(t, 3*cs)
-	infoV2, err := m.WriteFrom(bg, "u", bytes.NewReader(v2Data))
+	data2 := randBytes(t, 3*cs)
+	info2, err := m.WriteFrom(bg, "u", bytes.NewReader(data2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !infoV2.Chunked() || infoV2.Number != infoV1.Number+1 {
-		t.Fatalf("v2 info = %+v", infoV2)
+	if info2.Number != info1.Number+1 {
+		t.Fatalf("WriteFrom info = %+v", info2)
 	}
-	if got, _, err := m.Read(bg, "u"); err != nil || !bytes.Equal(got, v2Data) {
-		t.Fatalf("Read newest after upgrade: %v", err)
+	if got, _, err := m.Read(bg, "u"); err != nil || !bytes.Equal(got, data2) {
+		t.Fatalf("Read newest: %v", err)
 	}
-	// Both versions remain addressable by hash (the consistency-anchor
-	// read), regardless of layout.
-	if got, _, err := m.ReadMatching(bg, "u", infoV1.DataHash); err != nil || !bytes.Equal(got, v1Data) {
-		t.Fatalf("ReadMatching v1: %v", err)
+	for _, v := range []struct {
+		info VersionInfo
+		data []byte
+	}{{info1, data1}, {info2, data2}} {
+		if got, _, err := m.ReadMatching(bg, "u", v.info.DataHash); err != nil || !bytes.Equal(got, v.data) {
+			t.Fatalf("ReadMatching version %d: %v", v.info.Number, err)
+		}
+		rm, _, err := m.OpenMatching(bg, "u", v.info.DataHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := io.ReadAll(rm); err != nil || !bytes.Equal(got, v.data) {
+			t.Fatalf("OpenMatching version %d: %v", v.info.Number, err)
+		}
+		rm.Close()
 	}
-	if got, _, err := m.ReadMatching(bg, "u", infoV2.DataHash); err != nil || !bytes.Equal(got, v2Data) {
-		t.Fatalf("ReadMatching v2: %v", err)
-	}
-	rm, _, err := m.OpenMatching(bg, "u", infoV1.DataHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := io.ReadAll(rm); err != nil || !bytes.Equal(got, v1Data) {
-		t.Fatalf("OpenMatching v1: %v", err)
-	}
-	rm.Close()
 }
 
 // TestDeleteChunkedVersionReclaimsSpace verifies chunk objects are removed
@@ -318,14 +315,14 @@ func TestDeleteChunkedVersionReclaimsSpace(t *testing.T) {
 		return len(objs)
 	}
 	before := countObjects()
-	if before < info.ChunkCount {
+	if before < len(info.ChunkHashes) {
 		t.Fatalf("only %d objects before delete", before)
 	}
 	if err := m.DeleteVersion(bg, "u", info.Number); err != nil {
 		t.Fatal(err)
 	}
-	if after := countObjects(); after != before-info.ChunkCount {
-		t.Fatalf("objects %d -> %d, want %d chunk objects gone", before, after, info.ChunkCount)
+	if after := countObjects(); after != before-len(info.ChunkHashes) {
+		t.Fatalf("objects %d -> %d, want %d chunk objects gone", before, after, len(info.ChunkHashes))
 	}
 }
 
@@ -436,11 +433,11 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 		if v.Number != info.Number {
 			continue
 		}
-		for idx := 0; idx < v.ChunkCount; idx++ {
+		for idx := range v.ChunkHashes {
 			chunk := forged[idx*cs : idx*cs+v.chunkPlainLen(idx)]
 			for cloudIdx := 0; cloudIdx < 4; cloudIdx++ {
-				frame := make([]byte, frameLenV2(0, len(chunk)))
-				encodeBlockV2(frame, ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
+				frame := make([]byte, frameLen(0, len(chunk)))
+				encodeFrame(frame, ProtocolA, &block{Full: chunk, ShardIdx: cloudIdx, ChunkIdx: idx, ChunkPlainLen: len(chunk)})
 				if cloudIdx == 0 {
 					if err := evil.Put(bg, m.chunkName("u", v.Number, idx), frame); err != nil {
 						t.Fatal(err)
@@ -476,40 +473,65 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	}
 }
 
-// TestOpenRangedMatchingDeclinesWholeObjectVersions: v1 versions must send
-// callers to the caching whole-object path instead of a fake ranged reader.
+// uncertify leaves a written unit's metadata entry uncertified: cloud 3 is
+// down and clouds 1 and 2 lost their copies, so only cloud 0 of the
+// answering quorum lists the version. The chunk frames stay on every
+// cloud, so the version remains readable through the whole-value path.
+// The manager must run with DisableQuorumCancel, so every cloud got a copy
+// to begin with.
+func uncertify(t *testing.T, providers []*cloudsim.Provider, m *Manager, unit string) {
+	t.Helper()
+	clients := make([]cloud.ObjectStore, len(providers))
+	for i, p := range providers {
+		clients[i] = p.MustClient(p.CreateAccount("alice"))
+	}
+	waitForCopies(t, m, clients, unit, func(*unitMetadata) bool { return true })
+	for _, c := range clients[1:3] {
+		if err := c.Delete(bg, m.metaName(unit)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	providers[3].SetFault(cloudsim.FaultUnavailable)
+}
+
+// TestOpenRangedMatchingDeclinesWholeObjectVersions: an uncertified version
+// must send callers to the caching whole-value path instead of a ranged
+// reader that would trust its unvouched chunk hashes.
 func TestOpenRangedMatchingDeclinesWholeObjectVersions(t *testing.T) {
-	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	info, err := m.Write(bg, "u", randBytes(t, 5000))
+	providers, m := newChunkedManager(t, ProtocolCA, 2048)
+	m.opts.DisableQuorumCancel = true
+	data := randBytes(t, 5000)
+	info, err := m.Write(bg, "u", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.OpenRangedMatching(bg, "u", info.DataHash); !errors.Is(err, ErrWholeObjectOnly) {
-		t.Fatalf("err = %v, want ErrWholeObjectOnly", err)
-	}
-	chunked, err := m.WriteFrom(bg, "u", bytes.NewReader(randBytes(t, 5000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _, err := m.OpenRangedMatching(bg, "u", chunked.DataHash)
+	r, _, err := m.OpenRangedMatching(bg, "u", info.DataHash)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
+
+	uncertify(t, providers, m, "u")
+	if _, _, err := m.OpenRangedMatching(bg, "u", info.DataHash); !errors.Is(err, ErrWholeObjectOnly) {
+		t.Fatalf("err = %v, want ErrWholeObjectOnly", err)
+	}
+	if got, _, err := m.ReadMatching(bg, "u", info.DataHash); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("whole-value read of the uncertified version: %v", err)
+	}
 }
 
 // TestMalformedChunkGeometryFailsCleanly: metadata with inconsistent chunk
 // arithmetic must produce an error, not a slice-bounds panic.
 func TestMalformedChunkGeometryFailsCleanly(t *testing.T) {
-	bad := VersionInfo{Number: 1, Size: 5, ChunkSize: 10, ChunkCount: 3, Protocol: ProtocolCA}
+	bad := VersionInfo{Number: 1, Size: 5, ChunkSize: 10, ChunkHashes: [][]string{nil, nil, nil}, Protocol: ProtocolCA}
 	if bad.validChunking() {
 		t.Fatal("inconsistent geometry accepted")
 	}
 	_, m := newChunkedManager(t, ProtocolCA, 2048)
-	if _, err := m.readChunkedVersion(bg, "u", bad); !errors.Is(err, ErrIntegrity) {
+	if _, err := m.readChunkedVersion(bg, "u", bad, false); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("err = %v, want ErrIntegrity", err)
 	}
-	good := VersionInfo{Size: 25, ChunkSize: 10, ChunkCount: 3, ChunkHashes: [][]string{nil, nil, nil}}
+	good := VersionInfo{Size: 25, ChunkSize: 10, ChunkHashes: [][]string{nil, nil, nil}}
 	if !good.validChunking() {
 		t.Fatal("consistent geometry rejected")
 	}

@@ -1,34 +1,18 @@
 package depsky
 
-// Binary block framing.
+// Binary chunk framing.
 //
-// The per-cloud block of a data-unit version used to be a JSON object, which
-// base64-inflates the erasure shard by ~33% and burns CPU marshaling on every
-// write and unmarshaling on every read. Blocks are binary payloads with a
-// handful of small fields, so they are framed with a compact length-prefixed
-// binary envelope instead. The small metadata objects remain JSON: they are
-// human-inspectable and off the hot path.
+// Every version of a data unit is cut into fixed-size plaintext chunks
+// (a value no larger than the chunk size is one chunk); each chunk is
+// encrypted, erasure-coded and framed independently, and each cloud stores
+// one frame per chunk under the object name
+// "<prefix>dsky/<unit>/v<version>/c<chunk>". Frames are binary payloads
+// with a handful of small fields, so they use a compact length-prefixed
+// envelope instead of JSON (which base64-inflates the shard by ~33% and
+// burns CPU on every write and read). The small metadata objects remain
+// JSON: they are human-inspectable and off the hot path.
 //
-// v1 frame layout — one frame per cloud holding the whole version (all
-// integers big-endian):
-//
-//	offset size field
-//	0      4    magic "DSKB"
-//	4      1    frame version (1)
-//	5      1    protocol (0 = DepSky-CA, 1 = DepSky-A)
-//	6      1    flags (bit 0: key share present)
-//	7      1    keyX (secret-share evaluation point; 0 when no key share)
-//	8      2    shard index
-//	10     4    key share length
-//	14     4    payload length
-//	18     …    key share bytes, then payload bytes
-//
-// v2 frame layout — the chunked streaming format. A version written through
-// the streaming pipeline (Manager.WriteFrom) is cut into fixed-size
-// plaintext chunks; each chunk is encrypted, erasure-coded and framed
-// independently, and each cloud stores one v2 frame per chunk under the
-// object name "<prefix>dsky/<unit>/v<version>/c<chunk>". The header extends
-// v1 with the chunk coordinates:
+// Frame layout (all integers big-endian):
 //
 //	offset size field
 //	0      4    magic "DSKB"
@@ -43,21 +27,21 @@ package depsky
 //	22     4    chunk plaintext length (bytes of original data in this chunk)
 //	26     …    key share bytes, then payload bytes
 //
-// The chunk count, the chunk size and the per-chunk per-cloud frame hashes
-// live in the version metadata (VersionInfo.ChunkSize, ChunkCount and
-// ChunkHashes), not in the frames: the writer does not know the total chunk
-// count when the first frames are uploaded, and readers always hold the
-// metadata before they touch a frame. Every chunk frame carries the version
-// key share so a ranged read of any single chunk can recover the encryption
-// key from f+1 clouds without extra round trips.
+// The frame version starts at 2: version 1 was a retired whole-object
+// layout, and decoding one fails with ErrBadFrame like any unknown version.
+//
+// The chunk size and the per-chunk per-cloud frame hashes live in the
+// version metadata (VersionInfo.ChunkSize and ChunkHashes), not in the
+// frames: the writer does not know the total chunk count when the first
+// frames are uploaded, and readers always hold the metadata before they
+// touch a frame. Every chunk frame carries the version key share so a
+// ranged read of any single chunk can recover the encryption key from f+1
+// clouds without extra round trips.
 //
 // The payload is the erasure-coded shard of the chunk ciphertext for
 // DepSky-CA and the full (replicated) chunk for DepSky-A. Integrity is not
 // the frame's job: the SHA-256 of the whole frame is recorded in the version
-// metadata (VersionInfo.BlockHashes for v1, VersionInfo.ChunkHashes for v2)
-// and checked before decoding, exactly as it was for the JSON envelope.
-// Readers still accept v1 frames, so units written before the upgrade stay
-// readable.
+// metadata (VersionInfo.ChunkHashes) and checked before decoding.
 
 import (
 	"encoding/binary"
@@ -67,11 +51,8 @@ import (
 
 const (
 	wireMagic     = "DSKB"
-	wireVersion   = 1
-	wireVersion2  = 2
-	wireHeaderLen = 18
-	// wireHeaderLenV2 adds chunk index and chunk plaintext length.
-	wireHeaderLenV2 = 26
+	wireVersion   = 2
+	wireHeaderLen = 26
 
 	wireFlagKeyShare = 1 << 0
 )
@@ -80,48 +61,25 @@ const (
 // (bad magic, unknown version, or inconsistent lengths).
 var ErrBadFrame = errors.New("depsky: malformed block frame")
 
-// encodeBlock serializes a block into the v1 binary frame, sized exactly in
-// one allocation.
-func encodeBlock(p Protocol, b *block) []byte {
+// frameLen returns the exact frame size for a block, so callers can draw
+// the destination from a pool.
+func frameLen(keyShareLen, payloadLen int) int {
+	return wireHeaderLen + keyShareLen + payloadLen
+}
+
+// encodeFrame serializes a block into dst, which must have exactly
+// frameLen(len(b.KeyShare), len(payload)) bytes. The payload is b.Shard for
+// DepSky-CA and b.Full for DepSky-A.
+func encodeFrame(dst []byte, p Protocol, b *block) {
 	payload := b.Shard
 	if p == ProtocolA {
 		payload = b.Full
 	}
-	buf := make([]byte, wireHeaderLen+len(b.KeyShare)+len(payload))
-	copy(buf, wireMagic)
-	buf[4] = wireVersion
-	buf[5] = byte(p)
-	if len(b.KeyShare) > 0 {
-		buf[6] = wireFlagKeyShare
-		buf[7] = b.KeyX
-	}
-	binary.BigEndian.PutUint16(buf[8:], uint16(b.ShardIdx))
-	binary.BigEndian.PutUint32(buf[10:], uint32(len(b.KeyShare)))
-	binary.BigEndian.PutUint32(buf[14:], uint32(len(payload)))
-	n := copy(buf[wireHeaderLen:], b.KeyShare)
-	copy(buf[wireHeaderLen+n:], payload)
-	return buf
-}
-
-// frameLenV2 returns the exact frame size for a v2 block, so callers can
-// draw the destination from a pool.
-func frameLenV2(keyShareLen, payloadLen int) int {
-	return wireHeaderLenV2 + keyShareLen + payloadLen
-}
-
-// encodeBlockV2 serializes a chunked block into dst, which must have exactly
-// frameLenV2(len(b.KeyShare), len(payload)) bytes. The payload is b.Shard
-// for DepSky-CA and b.Full for DepSky-A.
-func encodeBlockV2(dst []byte, p Protocol, b *block) {
-	payload := b.Shard
-	if p == ProtocolA {
-		payload = b.Full
-	}
-	if len(dst) != frameLenV2(len(b.KeyShare), len(payload)) {
-		panic(fmt.Sprintf("depsky: v2 frame buffer is %d bytes, need %d", len(dst), frameLenV2(len(b.KeyShare), len(payload))))
+	if len(dst) != frameLen(len(b.KeyShare), len(payload)) {
+		panic(fmt.Sprintf("depsky: frame buffer is %d bytes, need %d", len(dst), frameLen(len(b.KeyShare), len(payload))))
 	}
 	copy(dst, wireMagic)
-	dst[4] = wireVersion2
+	dst[4] = wireVersion
 	dst[5] = byte(p)
 	dst[6] = 0
 	dst[7] = 0
@@ -134,12 +92,12 @@ func encodeBlockV2(dst []byte, p Protocol, b *block) {
 	binary.BigEndian.PutUint32(dst[14:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(dst[18:], uint32(b.ChunkIdx))
 	binary.BigEndian.PutUint32(dst[22:], uint32(b.ChunkPlainLen))
-	n := copy(dst[wireHeaderLenV2:], b.KeyShare)
-	copy(dst[wireHeaderLenV2+n:], payload)
+	n := copy(dst[wireHeaderLen:], b.KeyShare)
+	copy(dst[wireHeaderLen+n:], payload)
 }
 
-// decodeBlock parses a v1 or v2 block frame. The returned block's byte
-// fields alias data.
+// decodeBlock parses a block frame. The returned block's byte fields alias
+// data.
 func decodeBlock(data []byte) (*block, error) {
 	if len(data) < wireHeaderLen {
 		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrBadFrame, len(data), wireHeaderLen)
@@ -147,17 +105,8 @@ func decodeBlock(data []byte) (*block, error) {
 	if string(data[:4]) != wireMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFrame)
 	}
-	version := data[4]
-	headerLen := wireHeaderLen
-	switch version {
-	case wireVersion:
-	case wireVersion2:
-		headerLen = wireHeaderLenV2
-		if len(data) < headerLen {
-			return nil, fmt.Errorf("%w: %d bytes, need at least %d for a v2 frame", ErrBadFrame, len(data), headerLen)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown frame version %d", ErrBadFrame, version)
+	if data[4] != wireVersion {
+		return nil, fmt.Errorf("%w: unknown frame version %d", ErrBadFrame, data[4])
 	}
 	proto := Protocol(data[5])
 	if proto != ProtocolCA && proto != ProtocolA {
@@ -166,19 +115,19 @@ func decodeBlock(data []byte) (*block, error) {
 	flags := data[6]
 	keyLen := int(binary.BigEndian.Uint32(data[10:]))
 	payloadLen := int(binary.BigEndian.Uint32(data[14:]))
-	if keyLen < 0 || payloadLen < 0 || headerLen+keyLen+payloadLen != len(data) {
+	if keyLen < 0 || payloadLen < 0 || wireHeaderLen+keyLen+payloadLen != len(data) {
 		return nil, fmt.Errorf("%w: lengths %d+%d inconsistent with frame size %d", ErrBadFrame, keyLen, payloadLen, len(data))
 	}
-	b := &block{ShardIdx: int(binary.BigEndian.Uint16(data[8:])), ChunkIdx: -1}
-	if version == wireVersion2 {
-		b.ChunkIdx = int(binary.BigEndian.Uint32(data[18:]))
-		b.ChunkPlainLen = int(binary.BigEndian.Uint32(data[22:]))
+	b := &block{
+		ShardIdx:      int(binary.BigEndian.Uint16(data[8:])),
+		ChunkIdx:      int(binary.BigEndian.Uint32(data[18:])),
+		ChunkPlainLen: int(binary.BigEndian.Uint32(data[22:])),
 	}
 	if flags&wireFlagKeyShare != 0 {
 		b.KeyX = data[7]
-		b.KeyShare = data[headerLen : headerLen+keyLen]
+		b.KeyShare = data[wireHeaderLen : wireHeaderLen+keyLen]
 	}
-	payload := data[headerLen+keyLen:]
+	payload := data[wireHeaderLen+keyLen:]
 	if proto == ProtocolA {
 		b.Full = payload
 	} else {

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// frame encodes b into a freshly allocated frame.
+func frame(p Protocol, b *block) []byte {
+	payload := b.Shard
+	if p == ProtocolA {
+		payload = b.Full
+	}
+	buf := make([]byte, frameLen(len(b.KeyShare), len(payload)))
+	encodeFrame(buf, p, b)
+	return buf
+}
+
 func TestWireRoundTripCA(t *testing.T) {
 	in := &block{
 		Shard:    []byte{0, 1, 2, 0xff, 4},
@@ -13,7 +24,7 @@ func TestWireRoundTripCA(t *testing.T) {
 		KeyX:     7,
 		KeyShare: []byte{9, 8, 7},
 	}
-	frame := encodeBlock(ProtocolCA, in)
+	frame := frame(ProtocolCA, in)
 	if want := wireHeaderLen + len(in.KeyShare) + len(in.Shard); len(frame) != want {
 		t.Fatalf("frame size = %d, want %d (no inflation)", len(frame), want)
 	}
@@ -29,8 +40,7 @@ func TestWireRoundTripCA(t *testing.T) {
 
 func TestWireRoundTripA(t *testing.T) {
 	in := &block{Full: []byte("replicated value"), ShardIdx: 2}
-	frame := encodeBlock(ProtocolA, in)
-	out, err := decodeBlock(frame)
+	out, err := decodeBlock(frame(ProtocolA, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +50,7 @@ func TestWireRoundTripA(t *testing.T) {
 }
 
 func TestWireRoundTripEmptyPayload(t *testing.T) {
-	frame := encodeBlock(ProtocolCA, &block{ShardIdx: 1, KeyX: 1, KeyShare: []byte{5}})
-	out, err := decodeBlock(frame)
+	out, err := decodeBlock(frame(ProtocolCA, &block{ShardIdx: 1, KeyX: 1, KeyShare: []byte{5}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +68,7 @@ func TestWireRoundTripV2(t *testing.T) {
 		ChunkIdx:      41,
 		ChunkPlainLen: 777,
 	}
-	frame := make([]byte, frameLenV2(len(in.KeyShare), len(in.Shard)))
-	encodeBlockV2(frame, ProtocolCA, in)
-	out, err := decodeBlock(frame)
+	out, err := decodeBlock(frame(ProtocolCA, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +80,7 @@ func TestWireRoundTripV2(t *testing.T) {
 
 	// DepSky-A chunk: full replicated chunk, no key share.
 	a := &block{Full: []byte("chunk bytes"), ShardIdx: 1, ChunkIdx: 0, ChunkPlainLen: 11}
-	frameA := make([]byte, frameLenV2(0, len(a.Full)))
-	encodeBlockV2(frameA, ProtocolA, a)
-	outA, err := decodeBlock(frameA)
+	outA, err := decodeBlock(frame(ProtocolA, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,24 +89,21 @@ func TestWireRoundTripV2(t *testing.T) {
 	}
 }
 
-// TestWireV1FramesHaveNoChunk pins the compat contract: v1 frames decode
-// with ChunkIdx -1 so readers can tell the layouts apart.
-func TestWireV1FramesHaveNoChunk(t *testing.T) {
-	out, err := decodeBlock(encodeBlock(ProtocolCA, &block{Shard: []byte{1}, KeyX: 1, KeyShare: []byte{2}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ChunkIdx != -1 || out.ChunkPlainLen != 0 {
-		t.Fatalf("v1 frame decoded with chunk fields %d/%d", out.ChunkIdx, out.ChunkPlainLen)
+// TestWireRejectsRetiredV1Frames: the whole-object frame version 1 is
+// retired; a frame claiming it is malformed, not decoded with guessed
+// chunk coordinates.
+func TestWireRejectsRetiredV1Frames(t *testing.T) {
+	v1 := frame(ProtocolCA, &block{Shard: []byte{1}, KeyX: 1, KeyShare: []byte{2}})
+	v1[4] = 1
+	if _, err := decodeBlock(v1); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("version-1 frame: err = %v, want ErrBadFrame", err)
 	}
 }
 
 func TestWireRejectsMalformedV2Frames(t *testing.T) {
-	in := &block{Shard: []byte{1, 2, 3}, KeyX: 1, KeyShare: []byte{4}, ChunkIdx: 0, ChunkPlainLen: 3}
-	good := make([]byte, frameLenV2(1, 3))
-	encodeBlockV2(good, ProtocolCA, in)
+	good := frame(ProtocolCA, &block{Shard: []byte{1, 2, 3}, KeyX: 1, KeyShare: []byte{4}, ChunkIdx: 0, ChunkPlainLen: 3})
 	cases := map[string][]byte{
-		"short v2 header": good[:wireHeaderLenV2-1],
+		"short v2 header": good[:wireHeaderLen-1],
 		"truncated body":  good[:len(good)-1],
 		"oversized frame": append(append([]byte{}, good...), 0),
 	}
@@ -113,7 +115,7 @@ func TestWireRejectsMalformedV2Frames(t *testing.T) {
 }
 
 func TestWireRejectsMalformedFrames(t *testing.T) {
-	good := encodeBlock(ProtocolCA, &block{Shard: []byte{1, 2, 3}, KeyX: 1, KeyShare: []byte{4}})
+	good := frame(ProtocolCA, &block{Shard: []byte{1, 2, 3}, KeyX: 1, KeyShare: []byte{4}})
 	cases := map[string][]byte{
 		"empty":           nil,
 		"short":           good[:wireHeaderLen-1],

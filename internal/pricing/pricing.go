@@ -1,6 +1,5 @@
-// Package pricing holds per-cloud price tables and converts the byte/object
-// footprints metered elsewhere (depsky.Footprint, storage.VersionFootprint,
-// cloud.Usage) into dollar estimates.
+// Package pricing holds per-cloud price tables and converts byte/object
+// footprints (Footprint, cloud.Usage) into dollar estimates.
 //
 // The paper's cost argument (§4.5) is that a cloud-of-clouds file system is
 // only practical if its monetary cost stays comparable to a single cloud:
@@ -112,10 +111,10 @@ func (t Table) Resolve(stores []cloud.ObjectStore) []Rates {
 // roughly the 2020s price of commodity object storage.
 var DefaultRates = Rates{
 	StorageGBMonth: 0.023,
-	PutRequest:     5e-6,  // $5.00 / 1M
-	GetRequest:     4e-7,  // $0.40 / 1M
-	DeleteRequest:  0,     // free at every major provider
-	ListRequest:    5e-6,  // billed like writes
+	PutRequest:     5e-6, // $5.00 / 1M
+	GetRequest:     4e-7, // $0.40 / 1M
+	DeleteRequest:  0,    // free at every major provider
+	ListRequest:    5e-6, // billed like writes
 	EgressPerGB:    0.09,
 }
 
@@ -164,8 +163,53 @@ func DefaultTable() Table {
 	}
 }
 
+// Footprint describes the cloud-side cost axes of one stored version:
+// resident bytes, object count, and the requests and transfer its lifecycle
+// incurs. Storage backends compute it from their dispersal scheme; Price
+// turns it into dollars.
+type Footprint struct {
+	// Bytes is the storage the version occupies across the charged clouds
+	// (and the ingress its upload shipped).
+	Bytes int64
+	// ReadBytes is what one whole read of the version downloads.
+	ReadBytes int64
+	// Objects is how many cloud objects the version's payload occupies;
+	// each object keeps costing a GET fee per read and a DELETE fee at
+	// reclamation.
+	Objects int64
+	// PutRequests is the request count the version's upload was charged
+	// (payload objects plus any metadata update).
+	PutRequests int64
+	// GetRequestsPerRead is the request count one whole read issues.
+	GetRequestsPerRead int64
+	// DeleteRequests is the request count reclaiming the version issues.
+	DeleteRequests int64
+}
+
+// Add accumulates other into f.
+func (f *Footprint) Add(other Footprint) {
+	f.Bytes += other.Bytes
+	f.ReadBytes += other.ReadBytes
+	f.Objects += other.Objects
+	f.PutRequests += other.PutRequests
+	f.GetRequestsPerRead += other.GetRequestsPerRead
+	f.DeleteRequests += other.DeleteRequests
+}
+
+// Price converts a footprint into its lifecycle dollars at these rates:
+// storage per month, PUT fees plus ingress once, GET fees plus egress per
+// whole read, DELETE fees at reclamation.
+func (r Rates) Price(fp Footprint) Estimate {
+	return Estimate{
+		StoragePerMonth: r.StorageCost(fp.Bytes),
+		UploadOnce:      float64(fp.PutRequests)*r.PutRequest + float64(fp.Bytes)/GB*r.IngressPerGB,
+		ReadOnce:        float64(fp.GetRequestsPerRead)*r.GetRequest + float64(fp.ReadBytes)/GB*r.EgressPerGB,
+		DeleteOnce:      float64(fp.DeleteRequests) * r.DeleteRequest,
+	}
+}
+
 // Estimate is the dollar view of one stored version's lifecycle, the
-// counterpart of the byte/object axes in depsky.Footprint.
+// counterpart of the byte/object axes in Footprint.
 type Estimate struct {
 	// StoragePerMonth is the recurring $/month for keeping the version.
 	StoragePerMonth float64
@@ -178,12 +222,4 @@ type Estimate struct {
 	// DeleteOnce is the cost of reclaiming it (DELETE fees; deletes are
 	// best-effort against all clouds).
 	DeleteOnce float64
-}
-
-// Add accumulates other into e.
-func (e *Estimate) Add(other Estimate) {
-	e.StoragePerMonth += other.StoragePerMonth
-	e.UploadOnce += other.UploadOnce
-	e.ReadOnce += other.ReadOnce
-	e.DeleteOnce += other.DeleteOnce
 }

@@ -84,11 +84,17 @@ func TestDefaultTableCoversSimProfiles(t *testing.T) {
 	}
 }
 
-func TestEstimateAdd(t *testing.T) {
-	var e Estimate
-	e.Add(Estimate{StoragePerMonth: 1, UploadOnce: 2, ReadOnce: 3, DeleteOnce: 4})
-	e.Add(Estimate{StoragePerMonth: 1, UploadOnce: 2, ReadOnce: 3, DeleteOnce: 4})
-	if e.StoragePerMonth != 2 || e.UploadOnce != 4 || e.ReadOnce != 6 || e.DeleteOnce != 8 {
-		t.Fatalf("Add: %+v", e)
+// TestRatesPrice: each axis of a footprint is priced by its own rate —
+// storage and ingress by the stored bytes, egress by the bytes one read
+// downloads, and each request count by its fee.
+func TestRatesPrice(t *testing.T) {
+	r := Rates{StorageGBMonth: 0.02, PutRequest: 5e-6, GetRequest: 4e-7, DeleteRequest: 1e-7, EgressPerGB: 0.10, IngressPerGB: 0.01}
+	var fp Footprint
+	fp.Add(Footprint{Bytes: 3 << 30, ReadBytes: 2 << 30, Objects: 3, PutRequests: 6, GetRequestsPerRead: 2, DeleteRequests: 4})
+	got := r.Price(fp)
+	want := Estimate{StoragePerMonth: 0.06, UploadOnce: 6*5e-6 + 0.03, ReadOnce: 2*4e-7 + 0.20, DeleteOnce: 4e-7}
+	if !approx(got.StoragePerMonth, want.StoragePerMonth, 1e-12) || !approx(got.UploadOnce, want.UploadOnce, 1e-12) ||
+		!approx(got.ReadOnce, want.ReadOnce, 1e-12) || !approx(got.DeleteOnce, want.DeleteOnce, 1e-12) {
+		t.Fatalf("Price = %+v, want %+v", got, want)
 	}
 }

@@ -104,8 +104,15 @@ func DecryptInto(dst, key, ciphertext []byte) ([]byte, error) {
 // Hash returns the hex-encoded SHA-256 digest of data. This is the
 // collision-resistant hash carried by metadata tuples and DepSky metadata.
 func Hash(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return HexSum(sha256.Sum256(data))
+}
+
+// HexSum hex-encodes a SHA-256 digest the way Hash does, with one
+// allocation (the string) instead of hex.EncodeToString's two.
+func HexSum(sum [sha256.Size]byte) string {
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
 }
 
 // HashSHA1 returns the hex-encoded SHA-1 digest of data. The SCFS paper

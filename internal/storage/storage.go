@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -53,8 +54,8 @@ type VersionedStore interface {
 }
 
 // StreamWriter is the optional streaming face of a VersionedStore: backends
-// that implement it can consume a version's contents from a reader without
-// materializing the encoded form, bounding the memory of large writes. The
+// that implement it can consume a version's contents from a reader (a disk
+// cache file, say) without materializing the value or its encoded form. The
 // hash is the caller-computed SHA-256 of the full contents (SCFS computes it
 // when the file is closed); implementations must fail, and clean up, if the
 // streamed bytes do not match it.
@@ -80,7 +81,9 @@ type ReaderAtCloser interface {
 // backends that implement it serve byte ranges by fetching only the chunks
 // covering them, so large-file ReadAt does not pull whole objects.
 // OpenVersionAt returns ErrVersionNotFound while the version is not yet
-// visible (callers retry per the consistency-anchor loop).
+// visible (callers retry per the consistency-anchor loop), and another
+// error when the version can only be served whole (callers fall back to
+// ReadVersion).
 type RangeOpener interface {
 	OpenVersionAt(ctx context.Context, fileID, hash string) (ReaderAtCloser, error)
 }
@@ -115,28 +118,22 @@ type VersionSweeper interface {
 // VersionFootprint estimates the cloud-side cost of storing one version:
 // bytes across the charged clouds, objects created, the request counts of
 // its lifecycle, and the dollars those convert to under the backend's price
-// table. It mirrors depsky.Footprint at the storage abstraction so the
-// agent can meter cost pressure — and report spend — without knowing the
-// backend.
+// table — so the agent can meter cost pressure, and report spend, without
+// knowing the backend.
 type VersionFootprint struct {
-	Bytes              int64
-	Objects            int64
-	PutRequests        int64
-	GetRequestsPerRead int64
-	DeleteRequests     int64
+	pricing.Footprint
 	// Dollars is the priced lifecycle of the version (recurring storage,
 	// one-time upload, per-read and reclamation charges).
 	Dollars pricing.Estimate
 }
 
 // VersionCoster is the optional cost-estimation face of a VersionedStore:
-// it predicts the footprint a version of the given size would have,
-// streamed selecting the chunked layout (one cloud object per chunk) versus
-// the whole-object one. The agent feeds the estimate into its
-// garbage-collection trigger so request-fee pressure (many small chunks)
-// can start a collection even when byte pressure alone would not.
+// it predicts the footprint a version of the given size would have. The
+// agent feeds the estimate into its garbage-collection trigger so
+// request-fee pressure (many small chunks) can start a collection even when
+// byte pressure alone would not.
 type VersionCoster interface {
-	EstimateVersionFootprint(size int64, streamed bool) VersionFootprint
+	EstimateVersionFootprint(size int64) VersionFootprint
 }
 
 // --- single-cloud backend ---
@@ -262,16 +259,11 @@ func (s *SingleCloud) DeleteVersionsBatch(ctx context.Context, batch map[string]
 
 // EstimateVersionFootprint implements VersionCoster: a single-cloud version
 // is always one object, whatever its size.
-func (s *SingleCloud) EstimateVersionFootprint(size int64, streamed bool) VersionFootprint {
-	return VersionFootprint{
-		Bytes: size, Objects: 1, PutRequests: 1, GetRequestsPerRead: 1, DeleteRequests: 1,
-		Dollars: pricing.Estimate{
-			StoragePerMonth: s.rates.StorageCost(size),
-			UploadOnce:      s.rates.PutCost(size),
-			ReadOnce:        s.rates.GetCost(size),
-			DeleteOnce:      s.rates.DeleteRequest,
-		},
+func (s *SingleCloud) EstimateVersionFootprint(size int64) VersionFootprint {
+	fp := pricing.Footprint{
+		Bytes: size, ReadBytes: size, Objects: 1, PutRequests: 1, GetRequestsPerRead: 1, DeleteRequests: 1,
 	}
+	return VersionFootprint{Footprint: fp, Dollars: s.rates.Price(fp)}
 }
 
 // Underlying exposes the wrapped object store (used by the ACL propagation
@@ -298,16 +290,9 @@ func (c *CloudOfClouds) Name() string { return "coc" }
 // Manager exposes the underlying DepSky manager.
 func (c *CloudOfClouds) Manager() *depsky.Manager { return c.mgr }
 
-// WriteVersion implements VersionedStore.
+// WriteVersion implements VersionedStore through the streaming face.
 func (c *CloudOfClouds) WriteVersion(ctx context.Context, fileID, hash string, data []byte) error {
-	info, err := c.mgr.Write(ctx, fileID, data)
-	if err != nil {
-		return err
-	}
-	if info.DataHash != hash {
-		return fmt.Errorf("%w: wrote hash %s, expected %s", ErrIntegrity, info.DataHash, hash)
-	}
-	return nil
+	return c.WriteVersionFrom(ctx, fileID, hash, bytes.NewReader(data))
 }
 
 // ReadVersion implements VersionedStore.
@@ -353,10 +338,10 @@ func (c *CloudOfClouds) ListVersions(ctx context.Context, fileID string) ([]stri
 }
 
 // WriteVersionFrom implements StreamWriter: the contents are chunked,
-// encoded and uploaded through the DepSky streaming pipeline, so only a
-// bounded window of chunks is resident regardless of the version size. The
-// stream hash is computed on the fly; a mismatch with the caller's hash
-// deletes the half-anchored version before failing.
+// encoded and uploaded through the DepSky pipeline, so only a bounded
+// window of chunks is resident regardless of the version size. The stream
+// hash is computed on the fly; a mismatch with the caller's hash deletes
+// the half-anchored version before failing.
 func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash string, r io.Reader) error {
 	info, err := c.mgr.WriteFrom(ctx, fileID, r)
 	if err != nil {
@@ -370,11 +355,11 @@ func (c *CloudOfClouds) WriteVersionFrom(ctx context.Context, fileID, hash strin
 }
 
 // OpenVersionAt implements RangeOpener: reads fetch (and under faults
-// reconstruct) only the chunks covering the requested range. Versions that
-// cannot be served by genuinely ranged fetches — the v1 whole-object
-// layout, or chunked metadata that is not quorum-certified — return an
-// error so the agent falls back to the whole-object path, which verifies
-// the full value hash and populates its caches.
+// reconstruct) only the chunks covering the requested range. A version
+// whose metadata is not quorum-certified cannot be served by genuinely
+// ranged fetches and returns an error, so the agent falls back to the
+// whole-object path, which verifies the full value hash and populates its
+// caches.
 func (c *CloudOfClouds) OpenVersionAt(ctx context.Context, fileID, hash string) (ReaderAtCloser, error) {
 	r, _, err := c.mgr.OpenRangedMatching(ctx, fileID, hash)
 	if errors.Is(err, depsky.ErrVersionNotFound) || errors.Is(err, depsky.ErrUnitNotFound) {
@@ -410,7 +395,7 @@ func (c *CloudOfClouds) DeleteVersionsBatch(ctx context.Context, batch map[strin
 	type sweepJob struct {
 		fileID  string
 		numbers []uint64
-		doomed  depsky.Footprint
+		doomed  pricing.Footprint
 		dollars float64 // $/month the job stops accruing (reported)
 		value   float64 // ranking value, see below
 	}
@@ -488,18 +473,9 @@ func (c *CloudOfClouds) DeleteVersionsBatch(ctx context.Context, batch map[strin
 }
 
 // EstimateVersionFootprint implements VersionCoster by delegating to the
-// DepSky cost model (see depsky.Footprint and the dollar view in
-// depsky/cost.go).
-func (c *CloudOfClouds) EstimateVersionFootprint(size int64, streamed bool) VersionFootprint {
-	fp := c.mgr.EstimateFootprint(size, streamed)
-	return VersionFootprint{
-		Bytes:              fp.Bytes,
-		Objects:            fp.Objects,
-		PutRequests:        fp.PutRequests,
-		GetRequestsPerRead: fp.GetRequestsPerRead,
-		DeleteRequests:     fp.DeleteRequests,
-		Dollars:            c.mgr.EstimateCost(size, streamed),
-	}
+// DepSky cost model (depsky/cost.go).
+func (c *CloudOfClouds) EstimateVersionFootprint(size int64) VersionFootprint {
+	return VersionFootprint{Footprint: c.mgr.EstimateFootprint(size), Dollars: c.mgr.EstimateCost(size)}
 }
 
 // --- consistency anchor (Figure 3) ---

@@ -13,7 +13,10 @@
 // same memory.
 package stream
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 const (
 	// DefaultChunkSize is the plaintext bytes per pipeline chunk (1 MiB).
@@ -36,6 +39,11 @@ const (
 // read path and DepSky's decode attempts. Buffers are grouped into
 // power-of-two size classes; Get returns a buffer of exactly the requested
 // length backed by its class capacity.
+//
+// Each class pool holds a pointer to the buffer's first byte rather than the
+// slice: a pointer fits in an interface without allocating, where boxing a
+// three-word slice header would cost one allocation per Put. The class fixes
+// the capacity, so Get rebuilds the slice from the pointer.
 type Pool struct {
 	classes [numClasses]sync.Pool
 }
@@ -68,8 +76,8 @@ func (p *Pool) Get(n int) []byte {
 	if c < 0 {
 		return make([]byte, n)
 	}
-	if b, ok := p.classes[c].Get().([]byte); ok {
-		return b[:n]
+	if ptr, ok := p.classes[c].Get().(*byte); ok {
+		return unsafe.Slice(ptr, 1<<(minClassBits+c))[:n]
 	}
 	return make([]byte, n, 1<<(minClassBits+c))
 }
@@ -84,7 +92,7 @@ func (p *Pool) Put(b []byte) {
 	}
 	for c := 0; c < numClasses; c++ {
 		if cp == 1<<(minClassBits+c) {
-			p.classes[c].Put(b[:cp])
+			p.classes[c].Put(unsafe.SliceData(b))
 			return
 		}
 	}

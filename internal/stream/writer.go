@@ -62,40 +62,23 @@ type Result struct {
 // Run returns ctx.Err().
 func Run[E any](ctx context.Context, r io.Reader, cfg Config, encode func(idx int, plain []byte) (E, error), store func(idx int, enc E) error) (Result, error) {
 	cfg = cfg.withDefaults()
-	var (
-		res  Result
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		fail error
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if fail == nil {
-			fail = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return fail != nil
-	}
-
+	var res Result
+	// One heap object holds everything the chunk goroutines share.
+	st := &runState{window: make(chan struct{}, cfg.Window)}
 	h := sha256.New()
-	window := make(chan struct{}, cfg.Window)
-	for idx := 0; !failed(); idx++ {
+	for idx := 0; !st.failed(); idx++ {
 		if err := ctx.Err(); err != nil {
-			setErr(err)
+			st.setErr(err)
 			break
 		}
-		window <- struct{}{} // count the chunk being read against the window
+		st.window <- struct{}{} // count the chunk being read against the window
 		buf := cfg.Pool.Get(cfg.ChunkSize)
 		n, err := io.ReadFull(r, buf)
 		if n == 0 {
 			cfg.Pool.Put(buf)
-			<-window
+			<-st.window
 			if err != io.EOF && err != io.ErrUnexpectedEOF && err != nil {
-				setErr(fmt.Errorf("stream: reading chunk %d: %w", idx, err))
+				st.setErr(fmt.Errorf("stream: reading chunk %d: %w", idx, err))
 			}
 			break
 		}
@@ -103,33 +86,59 @@ func Run[E any](ctx context.Context, r io.Reader, cfg Config, encode func(idx in
 		h.Write(plain)
 		res.Size += int64(n)
 		res.Chunks++
-		wg.Add(1)
+		st.wg.Add(1)
 		go func(idx int, plain []byte) {
-			defer wg.Done()
-			defer func() { <-window }()
+			defer st.wg.Done()
+			defer func() { <-st.window }()
 			enc, eerr := encode(idx, plain)
 			cfg.Pool.Put(plain[:cap(plain)])
 			if eerr == nil {
 				eerr = store(idx, enc)
 			}
 			if eerr != nil {
-				setErr(fmt.Errorf("stream: chunk %d: %w", idx, eerr))
+				st.setErr(fmt.Errorf("stream: chunk %d: %w", idx, eerr))
 			}
 		}(idx, plain)
 		if err == io.ErrUnexpectedEOF {
 			break // short final chunk
 		}
 		if err != nil && err != io.EOF {
-			setErr(fmt.Errorf("stream: reading chunk %d: %w", idx+1, err))
+			st.setErr(fmt.Errorf("stream: reading chunk %d: %w", idx+1, err))
 			break
 		}
 		if err == io.EOF {
 			break
 		}
 	}
-	wg.Wait()
+	st.wg.Wait()
 	h.Sum(res.Sum256[:0])
-	mu.Lock()
-	defer mu.Unlock()
-	return res, fail
+	return res, st.err()
 }
+
+// runState is the part of a pipeline run its chunk goroutines share: the
+// window of resident chunks, their completion, and the first error.
+type runState struct {
+	window chan struct{}
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	fail   error
+}
+
+// setErr records err unless an earlier error was recorded.
+func (s *runState) setErr(err error) {
+	s.mu.Lock()
+	if s.fail == nil {
+		s.fail = err
+	}
+	s.mu.Unlock()
+}
+
+// err returns the first recorded error.
+func (s *runState) err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fail
+}
+
+// failed reports whether an error was recorded.
+func (s *runState) failed() bool { return s.err() != nil }

@@ -152,9 +152,10 @@ func WithDiskCache(dir string, bytes int64) Option {
 // (0 disables it; the paper's experiments use 500ms).
 func WithMetadataCacheTTL(ttl time.Duration) Option { return func(c *config) { c.metadataTTL = ttl } }
 
-// WithStreamThreshold sets the size above which file data moves through the
-// streaming data plane (ranged reads, chunked uploads). Negative disables
-// streaming; 0 keeps the default (1 MiB).
+// WithStreamThreshold sets the size above which a read-only open serves
+// reads by ranged cloud fetches of the covering chunks instead of fetching
+// the whole file. Negative disables ranged reads; 0 keeps the default
+// (1 MiB).
 func WithStreamThreshold(bytes int64) Option { return func(c *config) { c.streamThreshold = bytes } }
 
 // WithLockTTL sets the lease attached to ephemeral write locks.
