@@ -193,7 +193,7 @@ var pairRules = []pairRule{
 	// telemetry plane enabled — metrics registry and request tracing —
 	// must cost at most 5% latency over the uninstrumented discipline
 	// (measured ~1.00x: the hot path takes a handful of atomic adds and
-	// span writes into a preallocated ring)...
+	// span writes into the trace, then one bounded-store admission)...
 	{
 		num: "BenchmarkDepSkyHedgedRead/HedgedTelemetry", den: "BenchmarkDepSkyHedgedRead/Hedged",
 		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",
@@ -239,10 +239,10 @@ var pairRules = []pairRule{
 		maxRatio: 0.8,
 	},
 	// PR 10 acceptance, metadata-plane observability. The fully instrumented
-	// storm — metrics, end-to-end tracing (facade, smr, shard spans), and
-	// the always-on flight recorder — must cost at most 5% ns/op over the
-	// identical uninstrumented sharded plane: the always-on tail recorder
-	// only earns its keep if nobody ever wants to turn it off.
+	// storm — metrics and end-to-end tracing (facade, smr, shard spans)
+	// with the tracer's always-on slow and flagged retention — must cost at
+	// most 5% ns/op over the identical uninstrumented sharded plane: the
+	// tail retention only earns its keep if nobody ever wants to turn it off.
 	{
 		num: "BenchmarkMetadataStorm/Sharded4Telemetry", den: "BenchmarkMetadataStorm/Sharded4",
 		metric: func(b bench) float64 { return b.NsOp }, what: "ns/op",

@@ -183,9 +183,9 @@ func stormMount(b *testing.B, svc coord.Service, opts ...scfs.Option) *scfs.FS {
 //
 // The Sharded4Telemetry leg reruns the sharded storm fully instrumented —
 // metrics registry, per-operation tracing through smr/shard spans, and the
-// flight recorder retaining slow-tail exemplars. Acceptance (benchguard):
-// always-on instrumentation costs at most 5% ns/op over the uninstrumented
-// sharded leg.
+// tracer retaining recent, slow-tail and flagged traces. Acceptance
+// (benchguard): always-on instrumentation costs at most 5% ns/op over the
+// uninstrumented sharded leg.
 func BenchmarkMetadataStorm(b *testing.B) {
 	const dirs = 16
 	for _, leg := range []struct {
@@ -196,7 +196,7 @@ func BenchmarkMetadataStorm(b *testing.B) {
 		{"Single", 1, nil},
 		{"Sharded4", 4, nil},
 		{"Sharded4Telemetry", 4, []scfs.Option{
-			scfs.WithMetrics(), scfs.WithTracing(256), scfs.WithFlightRecorder()}},
+			scfs.WithMetrics(), scfs.WithTracing()}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			svc, rts, groups := stormPlane(b, leg.shards)

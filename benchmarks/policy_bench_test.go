@@ -58,7 +58,7 @@ func hedgedBenchManager(b testing.TB, disableCancel, instrumented bool) (*depsky
 	opts := depsky.Options{Clouds: clients, F: 1, DisableQuorumCancel: disableCancel}
 	if instrumented {
 		opts.Metrics = telemetry.NewRegistry()
-		opts.Tracer = telemetry.NewTracer(64)
+		opts.Tracer = telemetry.NewTracer()
 	}
 	m, err := depsky.New(opts)
 	if err != nil {
@@ -198,7 +198,8 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 				b.Fatal(err)
 			}
 			data := bytes.Repeat([]byte{0x6B}, scanSize)
-			if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+			info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+			if err != nil {
 				b.Fatal(err)
 			}
 			ctx := bg
@@ -209,7 +210,7 @@ func BenchmarkStreamSequentialScan(b *testing.B) {
 			b.SetBytes(scanSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, _, err := m.Open(ctx, "u")
+				r, _, err := m.OpenRangedMatching(ctx, "u", info.DataHash)
 				if err != nil {
 					b.Fatal(err)
 				}

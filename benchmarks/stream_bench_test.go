@@ -41,21 +41,23 @@ func BenchmarkDepSkyStreamWriteCA(b *testing.B) {
 func BenchmarkDepSkyRangedReadCA(b *testing.B) {
 	m, _ := benchManager(b, 1, depsky.ProtocolCA)
 	data := bytes.Repeat([]byte{0x5C}, streamSize)
-	if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+	info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+	if err != nil {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 64<<10)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, _, err := m.OpenRange(bg, "u", int64(i%977)*(64<<10)%streamSize, int64(len(buf)))
+		r, _, err := m.OpenRangedMatching(bg, "u", info.DataHash)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := io.ReadFull(r, buf); err != nil {
+		s := r.Section(bg, int64(i%977)*(64<<10)%streamSize, int64(len(buf)))
+		if _, err := io.ReadFull(s, buf); err != nil {
 			b.Fatal(err)
 		}
-		r.Close()
+		s.Close()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -13,7 +14,7 @@ import (
 
 // debugServer is the HTTP introspection endpoint started by
 // WithDebugServer. It serves the mount's metrics (Prometheus text and
-// JSON), its recent operation traces, and the standard pprof profiles. The
+// JSON), its retained operation traces, and the standard pprof profiles. The
 // handlers are read-only: they snapshot, they never mutate mount state.
 type debugServer struct {
 	addr string
@@ -41,7 +42,7 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 		fmt.Fprintln(w, "  /debug/stats   mount stats as JSON (counters, telemetry, spend)")
 		fmt.Fprintln(w, "  /debug/traces  recent operation traces (?n=32)")
 		fmt.Fprintln(w, "  /debug/slow    slowest retained traces per operation class")
-		fmt.Fprintln(w, "  /debug/flight  flight recorder stats and fault-flagged traces")
+		fmt.Fprintln(w, "  /debug/flight  trace retention stats, flagged and slowest traces per class")
 		fmt.Fprintln(w, "  /debug/pprof/  runtime profiles")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -63,61 +64,24 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 			}
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, t := range m.Traces(n) {
-			fmt.Fprintf(w, "%s %s dur=%s verdict=%s\n", t.Op, t.Unit, t.Duration(), t.VerdictLatency())
-			for _, line := range t.Describe() {
-				fmt.Fprintf(w, "  %s\n", line)
-			}
+		for _, t := range m.tracer.Recent(n) {
+			writeTrace(w, t)
 		}
 	})
-	writeTrace := func(w http.ResponseWriter, t *Trace) {
-		verdict := ""
-		if v := t.VerdictLatency(); v > 0 {
-			verdict = fmt.Sprintf(" verdict=%s", v)
-		}
-		suffix := ""
-		if err := t.Err(); err != nil {
-			suffix += " err=" + err.Error()
-		}
-		if n := t.Dropped(); n > 0 {
-			suffix += fmt.Sprintf(" dropped=%d", n)
-		}
-		fmt.Fprintf(w, "%s %s %s dur=%s%s%s\n", t.ID, t.Op, t.Unit, t.Duration(), verdict, suffix)
-		for _, line := range t.Describe() {
-			fmt.Fprintf(w, "  %s\n", line)
-		}
-	}
 	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if m.flight == nil {
-			fmt.Fprintln(w, "flight recorder disabled (mount WithFlightRecorder)")
-			return
-		}
-		for _, class := range m.flight.Classes() {
-			fmt.Fprintf(w, "== %s (slowest first)\n", class)
-			for _, t := range m.flight.Slowest(class) {
-				writeTrace(w, t)
-			}
+		for _, class := range m.tracer.Classes() {
+			writeClass(w, class, "slowest first", m.tracer.Slowest(class))
 		}
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if m.flight == nil {
-			fmt.Fprintln(w, "flight recorder disabled (mount WithFlightRecorder)")
-			return
-		}
-		st := m.flight.Stats()
+		st := m.tracer.Stats()
 		fmt.Fprintf(w, "seen=%d admitted=%d evicted=%d retained=%d spans=%d/%d\n",
 			st.Seen, st.Admitted, st.Evicted, st.Retained, st.Spans, st.SpanBudget)
-		for _, class := range m.flight.Classes() {
-			flagged := m.flight.Flagged(class)
-			if len(flagged) == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "== %s (flagged, newest first)\n", class)
-			for _, t := range flagged {
-				writeTrace(w, t)
-			}
+		for _, class := range m.tracer.Classes() {
+			writeClass(w, class, "flagged, newest first", m.tracer.Flagged(class))
+			writeClass(w, class, "slowest first", m.tracer.Slowest(class))
 		}
 	})
 	// Explicit pprof routes: the mount must not depend on (or pollute)
@@ -148,6 +112,39 @@ func startDebugServer(addr string, m *FS) (*debugServer, error) {
 		_ = d.srv.Serve(ln)
 	}()
 	return d, nil
+}
+
+// writeClass renders one op class's retained traces under a heading;
+// an empty list renders nothing.
+func writeClass(w io.Writer, class, order string, traces []*Trace) {
+	if len(traces) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "== %s (%s)\n", class, order)
+	for _, t := range traces {
+		writeTrace(w, t)
+	}
+}
+
+// writeTrace renders one trace: a header line with its ID, op, unit,
+// duration, verdict latency, error and dropped-span count, then one
+// indented line per span.
+func writeTrace(w io.Writer, t *Trace) {
+	verdict := ""
+	if v := t.VerdictLatency(); v > 0 {
+		verdict = fmt.Sprintf(" verdict=%s", v)
+	}
+	suffix := ""
+	if err := t.Err(); err != nil {
+		suffix += " err=" + err.Error()
+	}
+	if n := t.Dropped(); n > 0 {
+		suffix += fmt.Sprintf(" dropped=%d", n)
+	}
+	fmt.Fprintf(w, "%s %s %s dur=%s%s%s\n", t.ID, t.Op, t.Unit, t.Duration(), verdict, suffix)
+	for _, line := range t.Describe() {
+		fmt.Fprintf(w, "  %s\n", line)
+	}
 }
 
 // shutdown stops the server, waiting for in-flight requests until ctx is

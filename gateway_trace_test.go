@@ -22,8 +22,7 @@ func TestGatewayEndToEndTrace(t *testing.T) {
 		scfs.WithMemoryCache(1),
 		scfs.WithCoordShards(2),
 		scfs.WithMaxInflight(8),
-		scfs.WithTracing(128),
-		scfs.WithFlightRecorder())
+		scfs.WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestGatewayEndToEndTrace(t *testing.T) {
 		tr = c
 	}
 	if tr == nil {
-		t.Fatalf("no trace with ID %s in the ring", traceID)
+		t.Fatalf("no recent trace with ID %s", traceID)
 	}
 	if tr.Op != "http.get" {
 		t.Fatalf("trace op = %q, want http.get", tr.Op)

@@ -77,10 +77,7 @@ func TestQuorumOpsLeaveNoStragglerGoroutines(t *testing.T) {
 	}
 
 	start = time.Now()
-	r, _, err := m.Open(context.Background(), "u")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openSection(t, context.Background(), m, "u", info.DataHash, 0, int64(len(data)))
 	got, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +89,6 @@ func TestQuorumOpsLeaveNoStragglerGoroutines(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > straggler/2 {
 		t.Fatalf("read waited on the straggler: %v", elapsed)
 	}
-	_ = info
 
 	// All straggler RPCs were cancelled by the quorum verdicts; the
 	// goroutine count must return to baseline well within the straggler's
@@ -232,37 +228,5 @@ func TestDeadlineLongerThanQuorumSucceeds(t *testing.T) {
 	}
 	if ctx.Err() != nil {
 		t.Fatal("operations overran the deadline")
-	}
-}
-
-// TestOpenReadRetriesAfterCancelledFirstRead: a cancelled first read
-// through an Open'd whole-value reader must not poison the reader — a
-// later read with a live context retries the fetch and succeeds.
-func TestOpenReadRetriesAfterCancelledFirstRead(t *testing.T) {
-	providers, m := newManager(t, ProtocolCA)
-	m.opts.DisableQuorumCancel = true
-	data := bytes.Repeat([]byte("retry "), 500)
-	if _, err := m.Write(bg, "u", data); err != nil {
-		t.Fatal(err)
-	}
-	uncertify(t, providers, m, "u")
-	r, _, err := m.Open(bg, "u") // uncertified version: whole-value fetch path
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	dead, cancel := context.WithCancel(bg)
-	cancel()
-	buf := make([]byte, len(data))
-	if _, err := r.ReadAtContext(dead, buf, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("read under dead ctx: %v, want context.Canceled", err)
-	}
-	n, err := r.ReadAtContext(bg, buf, 0)
-	if err != nil && err != io.EOF {
-		t.Fatalf("read after cancelled read: %v (transient error was latched)", err)
-	}
-	if n != len(data) || !bytes.Equal(buf, data) {
-		t.Fatal("read after cancelled read returned wrong data")
 	}
 }

@@ -20,8 +20,8 @@
 // Every version has one data layout: the value is cut into fixed-size
 // chunks (a small value is one chunk), and each cloud stores one
 // length-prefixed binary frame per chunk, documented in wire.go. Write and
-// WriteFrom, Read and Open are entry points into that one pipeline; only
-// the small metadata objects use JSON.
+// WriteFrom, Read, ReadMatching and OpenRangedMatching are entry points
+// into that one pipeline; only the small metadata objects use JSON.
 package depsky
 
 import (
@@ -480,10 +480,11 @@ func (m *Manager) readMetadataQuorum(ctx context.Context, unit string) []*unitMe
 // faulty clouds, so f+1 identical copies imply at least one correct cloud
 // vouches for it. Whole-value reads verify the final plaintext hash, but
 // the ranged read path trusts the per-chunk frame hashes in the metadata
-// with no end-to-end check — it only serves certified entries and falls
-// back to the verified whole-value path otherwise (see openVersion). Among
-// conflicting uncertified variants of one number, the copy carrying more
-// integrity hashes wins (corrupted or truncated copies carry fewer).
+// with no end-to-end check — it only serves certified entries and sends
+// callers to the verified whole-value path otherwise (see
+// OpenRangedMatching). Among conflicting uncertified variants of one
+// number, the copy carrying more integrity hashes wins (corrupted or
+// truncated copies carry fewer).
 func (m *Manager) mergeMetadata(unit string, copies []*unitMetadata) *unitMetadata {
 	merged := &unitMetadata{Unit: unit, certified: make(map[uint64]bool), variants: make(map[uint64][]VersionInfo)}
 	type candidate struct {

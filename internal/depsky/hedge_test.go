@@ -185,7 +185,8 @@ func TestHedgedChunkedRangedRead(t *testing.T) {
 	rtts := []time.Duration{0, 0, 0, 0}
 	m, providers, _ := hedgeManager(t, rtts, Options{ChunkSize: 4096})
 	data := bytes.Repeat([]byte{0xC3}, 10*4096+17)
-	if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+	info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
 	warmTracker(m, rtts)
@@ -195,10 +196,7 @@ func TestHedgedChunkedRangedRead(t *testing.T) {
 		Hedge:      iopolicy.Hedge{Percentile: 0.9, MinDelay: 5 * time.Millisecond},
 		Preference: iopolicy.Preference{Order: []int{1, 2}},
 	}
-	r, _, err := m.OpenRange(hedgeCtx(pol), "u", 4096+100, 2*4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openSection(t, hedgeCtx(pol), m, "u", info.DataHash, 4096+100, 2*4096)
 	defer r.Close()
 	got, err := io.ReadAll(r)
 	if err != nil {

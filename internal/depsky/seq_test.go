@@ -86,12 +86,14 @@ func TestDeletedVersionStaysDeleted(t *testing.T) {
 	}
 	waitForCopies(t, m, clients, "u", func(md *unitMetadata) bool { return lists(md, v2.Number) })
 
-	// Cloud 3 misses the deletion and keeps listing v1.
-	providers[3].SetFault(cloudsim.FaultUnavailable)
+	// Cloud 3 misses the deletion and keeps listing v1: its next Put, the
+	// deletion's metadata write, fails. The fault retires by itself, so no
+	// heal can race the write still in flight when DeleteVersion returns.
+	providers[3].SetFaults(cloudsim.FaultSpec{Mode: cloudsim.FaultUnavailable, Ops: cloudsim.MaskPut, FirstN: 1})
 	if err := m.DeleteVersion(bg, "u", v1.Number); err != nil {
 		t.Fatal(err)
 	}
-	providers[3].SetFault(cloudsim.FaultNone)
+	waitForCopies(t, m, clients[:3], "u", func(md *unitMetadata) bool { return !lists(md, v1.Number) })
 	if !lists(rawCopy(t, m, clients[3], "u"), v1.Number) {
 		t.Fatal("setup: cloud 3 should still list the deleted version")
 	}
@@ -184,5 +186,65 @@ func TestForgedSeqCannotHideLiveVersion(t *testing.T) {
 	overflowing := &unitMetadata{Unit: "u", Seq: ^uint64(0), Versions: []VersionInfo{info}}
 	if merged := m.mergeMetadata("u", []*unitMetadata{overflowing}); merged.Seq != 0 || len(merged.Versions) != 0 {
 		t.Fatalf("overflowing copy merged: Seq %d, %d versions", merged.Seq, len(merged.Versions))
+	}
+}
+
+// TestVersionNumberCannotWrap: one forged copy listing version number
+// 2^64-1 must not make the next write wrap to number 0 and overwrite the
+// chunks of earlier versions. The write fails before uploading a chunk and
+// every earlier version stays readable.
+func TestVersionNumberCannotWrap(t *testing.T) {
+	providers, clients := testClouds(t, 4)
+	m, err := New(Options{Clouds: clients, F: 1, DisableQuorumCancel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []VersionInfo
+	for _, data := range []string{"version one", "version two"} {
+		info, err := m.Write(bg, "u", []byte(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, info)
+		waitForCopies(t, m, clients, "u", func(md *unitMetadata) bool { return lists(md, info.Number) })
+	}
+
+	// Cloud 0 lists a forged newest version; cloud 3 is down, so the
+	// forged copy is in the write's metadata quorum.
+	forged := rawCopy(t, m, clients[0], "u")
+	last := written[len(written)-1]
+	last.Number = ^uint64(0)
+	forged.Versions = append(forged.Versions, last)
+	raw, err := json.Marshal(forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clients[0].Put(bg, m.metaName("u"), raw); err != nil {
+		t.Fatal(err)
+	}
+	providers[3].SetFault(cloudsim.FaultUnavailable)
+	objects := make([]int, len(providers))
+	for i, p := range providers {
+		objects[i] = p.ObjectCount()
+	}
+
+	if _, err := m.Write(bg, "u", []byte("would wrap")); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("write after a forged max version: err = %v, want ErrIntegrity", err)
+	}
+	for i, p := range providers {
+		if n := p.ObjectCount(); n != objects[i] {
+			t.Fatalf("cloud %d holds %d objects after the refused write, had %d", i, n, objects[i])
+		}
+	}
+	for _, healed := range []bool{false, true} {
+		if healed {
+			providers[3].SetFault(cloudsim.FaultNone)
+		}
+		for i, info := range written {
+			got, _, err := m.ReadMatching(bg, "u", info.DataHash)
+			if err != nil || string(got) != []string{"version one", "version two"}[i] {
+				t.Fatalf("version %d after the refused write (cloud 3 healed: %v): %q, %v", info.Number, healed, got, err)
+			}
+		}
 	}
 }

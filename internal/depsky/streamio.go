@@ -6,8 +6,8 @@ package depsky
 // fixed-size chunks and overlaps encrypt → erasure-encode → per-shard hash
 // → quorum upload across a small window of in-flight chunks (see
 // internal/stream), so only a few chunks are resident whatever the value
-// size. Read reassembles a whole version chunk by chunk; Open/OpenRange
-// fetch — and, under faults, reconstruct — only the chunks covering the
+// size. Read reassembles a whole version chunk by chunk; OpenRangedMatching
+// fetches — and, under faults, reconstructs — only the chunks covering the
 // requested byte range, reusing the coder's cached decode matrices. All
 // chunk, shard and frame buffers come from the process-wide stream.Buffers
 // pool.
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,7 +71,8 @@ type encodedChunk struct {
 // computed incrementally.
 //
 // WriteFrom assumes a single writer per data unit (SCFS serializes writers
-// via its lock service).
+// via its lock service). When the newest listed version number has no
+// successor it fails with ErrIntegrity before uploading anything.
 //
 // Cancelling ctx aborts the in-flight chunk uploads and returns ctx.Err().
 // The version metadata is only written after every chunk reached its quorum,
@@ -84,6 +86,11 @@ func (m *Manager) WriteFrom(ctx context.Context, unit string, r io.Reader) (Vers
 	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
 	var next uint64 = 1
 	if newest := merged.newest(); newest != nil {
+		// A forged copy listing the largest number would wrap every later
+		// write to number 0, each overwriting the previous one's chunks.
+		if newest.Number == math.MaxUint64 {
+			return VersionInfo{}, fmt.Errorf("%w: newest version number %d has no successor", ErrIntegrity, newest.Number)
+		}
 		next = newest.Number + 1
 	}
 
@@ -195,50 +202,23 @@ func (m *Manager) encodeChunk(idx int, plain []byte, key []byte, shares []secret
 
 // --- reads ---
 
-// Open returns a random-access reader over the newest version of unit. A
-// certified version fetches only the chunks a read touches; an uncertified
-// one is fetched whole and verified on first access (see openVersion). The
-// ctx bounds only the metadata lookup performed here; each read through the
-// returned reader carries its own context (ReadAtContext / Section).
-func (m *Manager) Open(ctx context.Context, unit string) (*stream.Reader, VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
-	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	newest := merged.newest()
-	if newest == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, VersionInfo{}, err
-		}
-		return nil, VersionInfo{}, ErrUnitNotFound
-	}
-	return m.openVersion(ctx, unit, merged.variantsOf(newest.Number), merged.certified[newest.Number]), *newest, nil
-}
-
-// OpenMatching is Open for the version whose plaintext hash equals hash
-// (the read-by-hash SCFS's consistency anchor needs).
-func (m *Manager) OpenMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
-	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
-	defer tr.Finish()
-	merged := m.mergeMetadata(unit, m.readMetadataQuorum(ctx, unit))
-	matching, certified := merged.byHash(hash)
-	if len(matching) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, VersionInfo{}, err
-		}
-		return nil, VersionInfo{}, ErrVersionNotFound
-	}
-	return m.openVersion(ctx, unit, matching, certified), matching[0], nil
-}
-
 // ErrWholeObjectOnly is returned by OpenRangedMatching for versions the
 // manager cannot serve by per-chunk ranged fetches (uncertified or
 // malformed entries): callers should fall back to a whole-value read path,
 // which verifies the full value hash and can cache the result.
 var ErrWholeObjectOnly = errors.New("depsky: version requires the whole-object read path")
 
-// OpenRangedMatching is OpenMatching restricted to genuinely ranged
-// serving. The SCFS storage backend uses it so that only reads that
-// actually save memory bypass the agent's whole-object caches.
+// OpenRangedMatching returns a random-access reader over the version of
+// unit whose plaintext hash equals hash (the read-by-hash SCFS's
+// consistency anchor needs), fetching — and, under faults, reconstructing
+// — only the chunks a read touches. Chunks are served individually only
+// for a certified entry with consistent geometry: the per-chunk path has no
+// end-to-end plaintext hash check, so its trust rests on the metadata's
+// ChunkHashes, which certification pins to at least one correct cloud. Any
+// other entry returns ErrWholeObjectOnly, sending the caller to ReadMatching,
+// which verifies the whole value. The ctx bounds only the metadata lookup
+// performed here and supplies the open-time I/O policy; each read through
+// the returned reader carries its own context (ReadAtContext / Section).
 func (m *Manager) OpenRangedMatching(ctx context.Context, unit, hash string) (*stream.Reader, VersionInfo, error) {
 	ctx, tr := m.opts.Tracer.Start(ctx, "open", unit)
 	defer tr.Finish()
@@ -278,35 +258,6 @@ func (m *Manager) newChunkReader(ctx context.Context, f stream.Fetcher) *stream.
 		opts.Metrics = m.ins.stream
 	}
 	return stream.NewReaderOpts(f, stream.Buffers, opts)
-}
-
-// OpenRange returns a reader over [off, off+length) of the newest version
-// of unit, fetching only the chunks covering that range. Ranges beyond the
-// end are truncated. Reads through the returned reader are bounded by ctx.
-func (m *Manager) OpenRange(ctx context.Context, unit string, off, length int64) (io.ReadCloser, VersionInfo, error) {
-	r, info, err := m.Open(ctx, unit)
-	if err != nil {
-		return nil, VersionInfo{}, err
-	}
-	return r.Section(ctx, off, length), info, nil
-}
-
-// openVersion builds the stream.Reader for one version from its metadata
-// variants, best first; certified says whether the first is the certified
-// entry. Chunks are served individually only for a certified entry with
-// consistent geometry: the per-chunk path has no end-to-end plaintext hash
-// check, so its trust rests on the metadata's ChunkHashes, which
-// certification pins to at least one correct cloud. An uncertified or
-// malformed entry goes through the whole-value path, which verifies the
-// full value against DataHash before serving any byte (trying every
-// variant, so a forged uncertified copy costs a retry, not the read). The
-// ctx supplies the open-time I/O policy (readahead window, hedging defaults
-// for the reader's own prefetches).
-func (m *Manager) openVersion(ctx context.Context, unit string, variants []VersionInfo, certified bool) *stream.Reader {
-	if certified && variants[0].validChunking() {
-		return m.newChunkReader(ctx, &chunkFetcher{m: m, unit: unit, info: variants[0]})
-	}
-	return stream.NewReader(&wholeFetcher{m: m, unit: unit, variants: variants}, stream.Buffers)
 }
 
 // readChunkedVersion reassembles a whole version and verifies its stream
@@ -590,55 +541,6 @@ func (f *chunkFetcher) decodeChunk(idx int, blocks []*block, dst func() []byte, 
 	if _, err := seccrypto.DecryptInto(plain, key, ciphertext); err != nil {
 		return fmt.Errorf("depsky: decrypting chunk %d: %w", idx, err)
 	}
-	return nil
-}
-
-// wholeFetcher adapts the whole-value read to the chunk interface so
-// uncertified versions stay readable through Open/OpenRange: the full value
-// is fetched (and verified against its hash) once, on first access, and
-// served as one chunk.
-type wholeFetcher struct {
-	m    *Manager
-	unit string
-	// variants are the metadata copies to try, best first (see
-	// readVersionAny); none of them is certified.
-	variants []VersionInfo
-
-	mu      sync.Mutex
-	fetched bool
-	data    []byte
-}
-
-// Size implements stream.Fetcher.
-func (f *wholeFetcher) Size() int64 { return int64(f.variants[0].Size) }
-
-// ChunkSize implements stream.Fetcher: the whole value is one chunk.
-func (f *wholeFetcher) ChunkSize() int { return max(f.variants[0].Size, 1) }
-
-// Close implements stream.Fetcher.
-func (f *wholeFetcher) Close() error { return nil }
-
-// Fetch implements stream.Fetcher. The one whole-value fetch runs under the
-// context of whichever read triggers it first; a failed fetch (a cancelled
-// caller, a transient quorum shortfall) is not latched, so a later read
-// with a live context retries it.
-func (f *wholeFetcher) Fetch(ctx context.Context, idx int, dst []byte) error {
-	if idx != 0 {
-		return fmt.Errorf("depsky: whole-value reader has one chunk, got request for %d", idx)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.fetched {
-		data, err := f.m.readVersionAny(ctx, f.unit, f.variants, false)
-		if err != nil {
-			return err
-		}
-		f.data, f.fetched = data, true
-	}
-	if len(dst) != len(f.data) {
-		return fmt.Errorf("depsky: buffer is %d bytes, value is %d", len(dst), len(f.data))
-	}
-	copy(dst, f.data)
 	return nil
 }
 

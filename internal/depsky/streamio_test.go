@@ -2,6 +2,7 @@ package depsky
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
@@ -24,6 +25,18 @@ func newChunkedManager(t *testing.T, protocol Protocol, chunkSize int) ([]*cloud
 		t.Fatal(err)
 	}
 	return providers, m
+}
+
+// openSection opens the version of unit whose plaintext hash is hash on the
+// ranged read path and returns its [off, off+n) section; closing the
+// section closes the reader.
+func openSection(t *testing.T, ctx context.Context, m *Manager, unit, hash string, off, n int64) io.ReadCloser {
+	t.Helper()
+	r, _, err := m.OpenRangedMatching(ctx, unit, hash)
+	if err != nil {
+		t.Fatalf("OpenRangedMatching(%s): %v", unit, err)
+	}
+	return r.Section(ctx, off, n)
 }
 
 func randBytes(t *testing.T, n int) []byte {
@@ -68,11 +81,8 @@ func TestWriteFromChunkBoundaries(t *testing.T) {
 				t.Fatalf("%s size %d: hash mismatch", protocol, size)
 			}
 
-			// Streaming read path.
-			r, _, err := m.Open(bg, unit)
-			if err != nil {
-				t.Fatalf("%s size %d: Open: %v", protocol, size, err)
-			}
+			// Ranged read path.
+			r := openSection(t, bg, m, unit, info.DataHash, 0, int64(size))
 			streamed, err := io.ReadAll(r)
 			if err != nil {
 				t.Fatalf("%s size %d: streamed read: %v", protocol, size, err)
@@ -91,7 +101,8 @@ func TestOpenRangeFetchesOnlyCoveringChunks(t *testing.T) {
 	const cs = 4096
 	providers, m := newChunkedManager(t, ProtocolCA, cs)
 	data := randBytes(t, 8*cs+57)
-	if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+	info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,10 +117,7 @@ func TestOpenRangeFetchesOnlyCoveringChunks(t *testing.T) {
 		{int64(len(data)) - 9, 9},
 		{int64(len(data)) - 9, 100}, // over-long range is truncated
 	} {
-		r, _, err := m.OpenRange(bg, "u", c.off, c.n)
-		if err != nil {
-			t.Fatalf("OpenRange(%d, %d): %v", c.off, c.n, err)
-		}
+		r := openSection(t, bg, m, "u", info.DataHash, c.off, c.n)
 		got, err := io.ReadAll(r)
 		if err != nil {
 			t.Fatalf("range read (%d, %d): %v", c.off, c.n, err)
@@ -147,11 +155,15 @@ func TestStreamedDegradedReadsAllFaultPatterns(t *testing.T) {
 	for _, fault := range []cloudsim.FaultMode{cloudsim.FaultUnavailable, cloudsim.FaultCorrupt, cloudsim.FaultLoseWrites} {
 		for down := 0; down < 4; down++ {
 			providers, m := newChunkedManager(t, ProtocolCA, cs)
+			// Every cloud gets its metadata copy, so the version stays
+			// certified with one cloud faulty and the ranged path serves it.
+			m.opts.DisableQuorumCancel = true
 			if fault == cloudsim.FaultLoseWrites {
 				// Lost writes must be injected before the write.
 				providers[down].SetFault(fault)
 			}
-			if _, err := m.WriteFrom(bg, "u", bytes.NewReader(data)); err != nil {
+			info, err := m.WriteFrom(bg, "u", bytes.NewReader(data))
+			if err != nil {
 				t.Fatalf("fault %v cloud %d: WriteFrom: %v", fault, down, err)
 			}
 			providers[down].SetFault(fault)
@@ -164,10 +176,7 @@ func TestStreamedDegradedReadsAllFaultPatterns(t *testing.T) {
 				t.Fatalf("fault %v cloud %d: Read mismatch", fault, down)
 			}
 
-			r, _, err := m.OpenRange(bg, "u", cs-7, 2*cs)
-			if err != nil {
-				t.Fatalf("fault %v cloud %d: OpenRange: %v", fault, down, err)
-			}
+			r := openSection(t, bg, m, "u", info.DataHash, cs-7, 2*cs)
 			ranged, err := io.ReadAll(r)
 			if err != nil {
 				t.Fatalf("fault %v cloud %d: ranged read: %v", fault, down, err)
@@ -249,10 +258,7 @@ func TestWriteIsChunked(t *testing.T) {
 		t.Fatalf("Write stored %d chunks of %d, want 3 of %d", len(info1.ChunkHashes), info1.ChunkSize, cs)
 	}
 
-	r, _, err := m.OpenRange(bg, "u", 100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openSection(t, bg, m, "u", info1.DataHash, 100, 50)
 	got, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
@@ -280,12 +286,9 @@ func TestWriteIsChunked(t *testing.T) {
 		if got, _, err := m.ReadMatching(bg, "u", v.info.DataHash); err != nil || !bytes.Equal(got, v.data) {
 			t.Fatalf("ReadMatching version %d: %v", v.info.Number, err)
 		}
-		rm, _, err := m.OpenMatching(bg, "u", v.info.DataHash)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rm := openSection(t, bg, m, "u", v.info.DataHash, 0, int64(len(v.data)))
 		if got, err := io.ReadAll(rm); err != nil || !bytes.Equal(got, v.data) {
-			t.Fatalf("OpenMatching version %d: %v", v.info.Number, err)
+			t.Fatalf("ranged read of version %d: %v", v.info.Number, err)
 		}
 		rm.Close()
 	}
@@ -403,7 +406,9 @@ func TestStreamedConfidentiality(t *testing.T) {
 func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	const cs = 2048
 	providers, clients := testClouds(t, 4)
-	m, err := New(Options{Clouds: clients, F: 1, ChunkSize: cs})
+	// Every cloud gets its metadata copy, so the three honest ones certify
+	// the version and the ranged path serves it.
+	m, err := New(Options{Clouds: clients, F: 1, ChunkSize: cs, DisableQuorumCancel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,6 +417,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitForCopies(t, m, clients, "u", func(md *unitMetadata) bool { return lists(md, info.Number) })
 
 	// Cloud 0 turns Byzantine: it rewrites its metadata copy so every chunk
 	// hash points at a forged frame it serves, and stores those frames.
@@ -459,10 +465,7 @@ func TestRangedReadIgnoresForgedMetadataCopy(t *testing.T) {
 	}
 	_ = providers
 
-	r, _, err := m.OpenRange(bg, "u", 0, int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openSection(t, bg, m, "u", info.DataHash, 0, int64(len(data)))
 	got, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)

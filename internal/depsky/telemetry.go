@@ -16,6 +16,7 @@ package depsky
 // fully qualified name answers the per-provider question.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -144,10 +145,13 @@ func cloudLabels(clouds []cloud.ObjectStore) []string {
 	return names
 }
 
-// spanOutcome classifies one RPC attempt's error for its trace span.
+// spanOutcome classifies one RPC attempt's error for its trace span. A
+// missing object is an answer, not a fault — the metadata read of a unit's
+// first write sees it on every cloud — so it does not flag the trace (the
+// span still carries the error for display).
 func spanOutcome(err error) telemetry.SpanOutcome {
 	switch {
-	case err == nil:
+	case err == nil, errors.Is(err, cloud.ErrNotFound):
 		return telemetry.SpanOK
 	case err == errBreakerSkipped:
 		return telemetry.SpanBreakerSkipped

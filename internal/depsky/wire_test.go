@@ -2,6 +2,7 @@ package depsky
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -134,4 +135,41 @@ func TestWireRejectsMalformedFrames(t *testing.T) {
 	if _, err := decodeBlock([]byte(`{"shard":"AAEC","shard_idx":1}`)); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("legacy JSON: err = %v, want ErrBadFrame", err)
 	}
+}
+
+// FuzzDecodeBlock feeds arbitrary bytes to decodeBlock, the parser of the
+// frames possibly Byzantine clouds serve: no input may panic it, every
+// rejection must be ErrBadFrame, and every accepted frame must account for
+// all of its bytes and survive a re-encode unchanged.
+func FuzzDecodeBlock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decodeBlock(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("rejection is not ErrBadFrame: %v", err)
+			}
+			return
+		}
+		p := Protocol(data[5])
+		payload := b.Shard
+		if p == ProtocolA {
+			payload = b.Full
+		}
+		if keyLen := int(binary.BigEndian.Uint32(data[10:])); wireHeaderLen+keyLen+len(payload) != len(data) {
+			t.Fatalf("frame of %d bytes decoded to a %d-byte key field and %d-byte payload", len(data), keyLen, len(payload))
+		}
+		again, err := decodeBlock(frame(p, b))
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v", err)
+		}
+		againPayload := again.Shard
+		if p == ProtocolA {
+			againPayload = again.Full
+		}
+		if again.ShardIdx != b.ShardIdx || again.ChunkIdx != b.ChunkIdx || again.ChunkPlainLen != b.ChunkPlainLen ||
+			!bytes.Equal(again.KeyShare, b.KeyShare) || !bytes.Equal(againPayload, payload) ||
+			(len(b.KeyShare) > 0 && again.KeyX != b.KeyX) {
+			t.Fatalf("re-encode changed the block: %+v -> %+v", b, again)
+		}
+	})
 }

@@ -256,10 +256,10 @@ func shardOutageMetadataStorm() Scenario {
 		Name: "shard-outage-metadata-storm",
 		Description: "a metadata shard loses its leader replica mid-storm; " +
 			"the quorum view-changes and every session's ops still succeed",
-		// The storm runs fully instrumented: the flight recorder must retain
-		// the outage's evidence (view-change-crossing ops) as exemplars even
-		// though hundreds of healthy ops finish afterwards.
-		Mount: []scfs.Option{scfs.WithTracing(64), scfs.WithFlightRecorder()},
+		// The storm runs fully instrumented: the tracer must retain the
+		// outage's evidence (view-change-crossing ops) as flagged exemplars
+		// even though hundreds of healthy ops finish afterwards.
+		Mount: []scfs.Option{scfs.WithTracing()},
 		Coord: func(t *testing.T) (coord.Service, [][]*smr.Replica, func()) {
 			var stops []func()
 			services := make([]coord.Service, shards)
@@ -361,16 +361,16 @@ func shardOutageMetadataStorm() Scenario {
 				t.Fatalf("shard 1 never view-changed after its leader crashed (view=%d)", view)
 			}
 
-			// The flight recorder holds the outage's evidence: operations
-			// whose smr invocations were in flight across the view change are
-			// flagged and retained as exemplars — still quotable here, after
-			// hundreds of healthy post-crash ops churned the recency ring.
+			// The tracer holds the outage's evidence: operations whose smr
+			// invocations were in flight across the view change are flagged
+			// and retained as exemplars — still quotable here, after hundreds
+			// of healthy post-crash ops churned the recent traces.
 			// (This replaces counting executions on the survivors: a retained
 			// view-change trace proves ops crossed the outage *and* completed.)
-			fr := env.FS.FlightRecorder()
+			tracer := env.FS.Tracer()
 			var vcTrace, retransmitted *scfs.Trace
-			for _, class := range fr.Classes() {
-				for _, tr := range fr.Flagged(class) {
+			for _, class := range tracer.Classes() {
+				for _, tr := range tracer.Flagged(class) {
 					if !tr.CrossedViewChange() {
 						continue
 					}
@@ -386,7 +386,7 @@ func shardOutageMetadataStorm() Scenario {
 				}
 			}
 			if vcTrace == nil {
-				t.Fatalf("flight recorder retained no view-change-crossing trace; stats: %+v", fr.Stats())
+				t.Fatalf("tracer retained no view-change-crossing trace; stats: %+v", tracer.Stats())
 			}
 			if retransmitted == nil {
 				t.Fatalf("no retained exemplar shows the outage's retransmissions: %v", vcTrace.Describe())
@@ -421,10 +421,16 @@ func shardOutageMetadataStorm() Scenario {
 // the outage ends the cooldown's probe readmits it — traffic resumes
 // against the healed cloud without any operator intervention.
 func breakerRecovery() Scenario {
+	// c0 answers instantly and the healthy clouds take a few milliseconds,
+	// so each of c0's outage failures lands before the quorum verdict. With
+	// instant clouds the verdict could cancel c0's request before it ran,
+	// and a cancellation never trips a breaker.
+	const healthyRTT = 3 * time.Millisecond
 	return Scenario{
 		Name: "breaker-recovery",
 		Description: "an outage trips the breakers, fail-fast ops skip the " +
 			"dead cloud entirely, and the post-cooldown probe readmits it",
+		RTTs: []time.Duration{0, healthyRTT, healthyRTT, healthyRTT},
 		Mount: []scfs.Option{
 			scfs.WithBreakerPolicy(scfs.BreakerPolicy{
 				FailureThreshold: 2,

@@ -1,44 +1,45 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
-	"sync"
 )
 
-// FlightRecorder retains exemplar traces per operation class so the
-// evidence survives the traffic that produced it. The Tracer's ring is
-// most-recent-wins: a burst of healthy operations evicts the one slow or
-// failed trace an operator needed. The recorder keeps, per op class
-// (Trace.Op):
+// The Tracer's trace store. Finished traces are retained in three classes
+// so the evidence survives the traffic that produced it:
 //
-//   - the slowest SlowN traces seen so far, and
-//   - the last FlaggedN *flagged* traces — errored, breaker-skipped, or
-//     in flight across a replica-group view change — regardless of speed.
+//   - recent: the last recentTraces traces, across all op classes;
+//   - slowest: per op class (Trace.Op), the slowTraces slowest unflagged
+//     traces seen so far;
+//   - flagged: per op class, the last flaggedTraces *flagged* traces —
+//     errored, breaker-skipped, or in flight across a replica-group view
+//     change — regardless of speed.
 //
-// Total memory is bounded twice over: each trace caps its own span count
-// (maxTraceSpans), and the recorder holds at most SpanBudget spans across
-// everything it retains, evicting the least interesting exemplars (the
-// fastest retained slow traces first, then the oldest flagged ones) when
-// a new admission would exceed it.
-//
-// A nil *FlightRecorder is disabled: every method no-ops, so the Tracer
-// offers traces unconditionally.
-type FlightRecorder struct {
-	mu      sync.Mutex
-	classes map[string]*flightClass
+// One trace may sit in several classes (the newest trace is both recent
+// and, often, a slow exemplar) but is charged once. Memory is bounded twice
+// over: each trace caps its own span count (maxTraceSpans), and the store
+// holds at most spanBudget spans across everything it retains. When an
+// admission exceeds the budget the least interesting memberships go first:
+// the oldest recent trace, then the fastest slow exemplar anywhere, then
+// the oldest flagged trace. The newest trace is never evicted, so the
+// budget yields only to a single trace that alone exceeds it.
 
-	slowN      int
-	flaggedN   int
-	spanBudget int
+// Retention sizes: 64 recent traces, 8 slowest and 32 flagged traces per
+// op class, 16384 retained spans overall (~2 MiB of spans at ~128 B each).
+const (
+	recentTraces  = 64
+	slowTraces    = 8
+	flaggedTraces = 32
+	spanBudget    = 16384
+)
 
-	spans    int // spans retained right now, across all classes
-	seen     int64
-	admitted int64
-	evicted  int64
+// retention sizes one Tracer's store; tests shrink it through newTracer.
+type retention struct {
+	recent, slow, flagged, spans int
 }
 
-// flightClass is one op class's retention state.
-type flightClass struct {
+// traceClass is one op class's exemplars.
+type traceClass struct {
 	// slow is sorted ascending by duration: slow[0] is the fastest
 	// retained exemplar, the first to go when a slower one arrives.
 	slow []*Trace
@@ -46,158 +47,134 @@ type flightClass struct {
 	flagged []*Trace
 }
 
-// Default retention knobs: 8 slowest and 32 flagged traces per op class,
-// 16384 retained spans overall (~2 MiB of spans at ~128 B each).
-const (
-	defaultSlowN      = 8
-	defaultFlaggedN   = 32
-	defaultSpanBudget = 16384
-)
-
-// NewFlightRecorder creates a recorder retaining the slowN slowest and
-// flaggedN most recent flagged traces per op class, within a global
-// budget of spanBudget retained spans. Zero or negative arguments select
-// the defaults (8, 32, 16384).
-func NewFlightRecorder(slowN, flaggedN, spanBudget int) *FlightRecorder {
-	if slowN <= 0 {
-		slowN = defaultSlowN
-	}
-	if flaggedN <= 0 {
-		flaggedN = defaultFlaggedN
-	}
-	if spanBudget <= 0 {
-		spanBudget = defaultSpanBudget
-	}
-	return &FlightRecorder{
-		classes:    make(map[string]*flightClass),
-		slowN:      slowN,
-		flaggedN:   flaggedN,
-		spanBudget: spanBudget,
-	}
-}
-
 // traceCost is the span-budget cost of retaining t. The +1 charges the
 // trace itself, so span-free traces still consume budget.
 func traceCost(t *Trace) int { return t.SpanCount() + 1 }
 
-// Offer considers one finished trace for retention. Called by the Tracer
-// on every Finish; must only see finished (immutable) traces.
-func (fr *FlightRecorder) Offer(t *Trace) {
-	if fr == nil || t == nil {
-		return
+// holdLocked adds one class membership of t, charging its spans on the
+// first.
+func (tr *Tracer) holdLocked(t *Trace) {
+	if t.holds == 0 {
+		tr.spans += traceCost(t)
+		tr.admitted++
 	}
-	cost := traceCost(t)
-	flagged := t.Flagged()
-	dur := t.Duration()
+	t.holds++
+}
 
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	fr.seen++
-	c := fr.classes[t.Op]
-	if c == nil {
-		c = &flightClass{}
-		fr.classes[t.Op] = c
+// releaseLocked drops one class membership of t, refunding its spans on
+// the last.
+func (tr *Tracer) releaseLocked(t *Trace) {
+	t.holds--
+	if t.holds == 0 {
+		tr.spans -= traceCost(t)
+		tr.evicted++
 	}
-	if flagged {
-		if len(c.flagged) >= fr.flaggedN {
-			fr.dropLocked(c.flagged[0])
-			copy(c.flagged, c.flagged[1:])
-			c.flagged = c.flagged[:len(c.flagged)-1]
+}
+
+// retainLocked files one finished trace into the store.
+func (tr *Tracer) retainLocked(t *Trace) {
+	tr.seen++
+	if tr.nrecent == len(tr.recent) {
+		tr.popRecentLocked()
+	}
+	tr.recent[(tr.head+tr.nrecent)%len(tr.recent)] = t
+	tr.nrecent++
+	tr.holdLocked(t)
+
+	c := tr.classes[t.Op]
+	if c == nil {
+		c = &traceClass{}
+		tr.classes[t.Op] = c
+	}
+	if t.Flagged() {
+		if len(c.flagged) >= tr.limits.flagged {
+			tr.releaseLocked(c.flagged[0])
+			c.flagged = slices.Delete(c.flagged, 0, 1)
 		}
 		c.flagged = append(c.flagged, t)
-	} else {
-		if len(c.slow) >= fr.slowN {
-			if dur <= c.slow[0].Duration() {
-				return // faster than every retained exemplar
-			}
-			fr.dropLocked(c.slow[0])
-			copy(c.slow, c.slow[1:])
-			c.slow = c.slow[:len(c.slow)-1]
+		tr.holdLocked(t)
+	} else if dur := t.Duration(); len(c.slow) < tr.limits.slow || dur > c.slow[0].Duration() {
+		if len(c.slow) >= tr.limits.slow {
+			tr.releaseLocked(c.slow[0])
+			c.slow = slices.Delete(c.slow, 0, 1)
 		}
-		// Insert keeping ascending duration order; SlowN is small, so a
-		// linear scan beats heap bookkeeping.
 		i := sort.Search(len(c.slow), func(i int) bool { return c.slow[i].Duration() > dur })
-		c.slow = append(c.slow, nil)
-		copy(c.slow[i+1:], c.slow[i:])
-		c.slow[i] = t
+		c.slow = slices.Insert(c.slow, i, t)
+		tr.holdLocked(t)
 	}
-	fr.admitted++
-	fr.spans += cost
-	fr.enforceBudgetLocked()
-}
-
-// dropLocked accounts for one evicted trace.
-func (fr *FlightRecorder) dropLocked(t *Trace) {
-	fr.spans -= traceCost(t)
-	fr.evicted++
-}
-
-// enforceBudgetLocked evicts exemplars until the span budget holds again:
-// fastest retained slow traces first (across all classes), then oldest
-// flagged ones. The most recently admitted trace is evicted last only if
-// it alone exceeds the whole budget.
-func (fr *FlightRecorder) enforceBudgetLocked() {
-	for fr.spans > fr.spanBudget {
-		if fr.retainedLocked() <= 1 {
-			return // never evict the last exemplar chasing an unmeetable budget
-		}
-		var victimClass *flightClass
-		victimFlagged := false
-		// Fastest slow exemplar anywhere.
-		for _, c := range fr.classes {
-			if len(c.slow) == 0 {
-				continue
-			}
-			if victimClass == nil || c.slow[0].Duration() < victimClass.slow[0].Duration() {
-				victimClass = c
-			}
-		}
-		if victimClass == nil {
-			// No slow exemplars left: oldest flagged trace anywhere.
-			var oldest *Trace
-			for _, c := range fr.classes {
-				if len(c.flagged) == 0 {
-					continue
-				}
-				if oldest == nil || c.flagged[0].Start.Before(oldest.Start) {
-					victimClass, oldest = c, c.flagged[0]
-				}
-			}
-			victimFlagged = true
-		}
-		if victimClass == nil {
-			return // nothing retained; a pathological budget
-		}
-		if victimFlagged {
-			fr.dropLocked(victimClass.flagged[0])
-			copy(victimClass.flagged, victimClass.flagged[1:])
-			victimClass.flagged = victimClass.flagged[:len(victimClass.flagged)-1]
-		} else {
-			fr.dropLocked(victimClass.slow[0])
-			copy(victimClass.slow, victimClass.slow[1:])
-			victimClass.slow = victimClass.slow[:len(victimClass.slow)-1]
-		}
+	for tr.spans > tr.limits.spans && tr.evictLocked() {
 	}
 }
 
-// retainedLocked counts currently retained traces.
-func (fr *FlightRecorder) retainedLocked() int {
-	n := 0
-	for _, c := range fr.classes {
-		n += len(c.slow) + len(c.flagged)
-	}
-	return n
+// popRecentLocked drops the oldest recent trace.
+func (tr *Tracer) popRecentLocked() {
+	tr.releaseLocked(tr.recent[tr.head])
+	tr.recent[tr.head] = nil
+	tr.head = (tr.head + 1) % len(tr.recent)
+	tr.nrecent--
 }
 
-// Classes returns the op classes with retained traces, sorted.
-func (fr *FlightRecorder) Classes() []string {
-	if fr == nil {
+// evictLocked drops the least interesting membership: the oldest recent
+// trace other than the newest, else the fastest slow exemplar anywhere,
+// else the oldest flagged trace. It reports false when only the newest
+// trace's recent membership is left.
+func (tr *Tracer) evictLocked() bool {
+	if tr.nrecent > 1 {
+		tr.popRecentLocked()
+		return true
+	}
+	var victim *traceClass
+	for _, c := range tr.classes {
+		if len(c.slow) > 0 && (victim == nil || c.slow[0].Duration() < victim.slow[0].Duration()) {
+			victim = c
+		}
+	}
+	if victim != nil {
+		tr.releaseLocked(victim.slow[0])
+		victim.slow = slices.Delete(victim.slow, 0, 1)
+		return true
+	}
+	for _, c := range tr.classes {
+		if len(c.flagged) > 0 && (victim == nil || c.flagged[0].Start.Before(victim.flagged[0].Start)) {
+			victim = c
+		}
+	}
+	if victim != nil {
+		tr.releaseLocked(victim.flagged[0])
+		victim.flagged = slices.Delete(victim.flagged, 0, 1)
+		return true
+	}
+	return false
+}
+
+// Recent returns up to n retained recent traces, newest first (n <= 0
+// means all). Nil-safe.
+func (tr *Tracer) Recent(n int) []*Trace {
+	if tr == nil {
 		return nil
 	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	out := make([]string, 0, len(fr.classes))
-	for k, c := range fr.classes {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if n <= 0 || n > tr.nrecent {
+		n = tr.nrecent
+	}
+	out := make([]*Trace, n)
+	for i := range out {
+		out[i] = tr.recent[(tr.head+tr.nrecent-1-i)%len(tr.recent)]
+	}
+	return out
+}
+
+// Classes returns the op classes with retained slow or flagged exemplars,
+// sorted.
+func (tr *Tracer) Classes() []string {
+	if tr == nil {
+		return nil
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	out := make([]string, 0, len(tr.classes))
+	for k, c := range tr.classes {
 		if len(c.slow)+len(c.flagged) > 0 {
 			out = append(out, k)
 		}
@@ -208,72 +185,68 @@ func (fr *FlightRecorder) Classes() []string {
 
 // Slowest returns the retained slow exemplars of one op class, slowest
 // first.
-func (fr *FlightRecorder) Slowest(class string) []*Trace {
-	if fr == nil {
+func (tr *Tracer) Slowest(class string) []*Trace {
+	if tr == nil {
 		return nil
 	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	c := fr.classes[class]
-	if c == nil {
-		return nil
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if c := tr.classes[class]; c != nil {
+		return reversed(c.slow)
 	}
-	out := make([]*Trace, len(c.slow))
-	for i, t := range c.slow {
-		out[len(out)-1-i] = t
-	}
-	return out
+	return nil
 }
 
 // Flagged returns the retained flagged exemplars of one op class, newest
 // first.
-func (fr *FlightRecorder) Flagged(class string) []*Trace {
-	if fr == nil {
+func (tr *Tracer) Flagged(class string) []*Trace {
+	if tr == nil {
 		return nil
 	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	c := fr.classes[class]
-	if c == nil {
-		return nil
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if c := tr.classes[class]; c != nil {
+		return reversed(c.flagged)
 	}
-	out := make([]*Trace, len(c.flagged))
-	for i, t := range c.flagged {
-		out[len(out)-1-i] = t
-	}
+	return nil
+}
+
+// reversed returns a reversed copy of ts.
+func reversed(ts []*Trace) []*Trace {
+	out := slices.Clone(ts)
+	slices.Reverse(out)
 	return out
 }
 
-// FlightStats summarizes a recorder's activity.
+// FlightStats summarizes a Tracer's retention activity.
 type FlightStats struct {
-	// Seen counts every finished trace offered to the recorder.
+	// Seen counts every finished trace.
 	Seen int64 `json:"seen"`
 	// Admitted counts traces that were retained (some later evicted).
 	Admitted int64 `json:"admitted"`
-	// Evicted counts retained traces later displaced by better exemplars
-	// or the span budget.
+	// Evicted counts retained traces later dropped from every class.
 	Evicted int64 `json:"evicted"`
 	// Retained is the number of traces held right now.
 	Retained int `json:"retained"`
 	// Spans is the span-budget consumption right now.
 	Spans int `json:"spans"`
-	// SpanBudget is the configured global span budget.
+	// SpanBudget is the global span budget.
 	SpanBudget int `json:"span_budget"`
 }
 
-// Stats returns the recorder's activity counters.
-func (fr *FlightRecorder) Stats() FlightStats {
-	if fr == nil {
+// Stats returns the store's activity counters.
+func (tr *Tracer) Stats() FlightStats {
+	if tr == nil {
 		return FlightStats{}
 	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	return FlightStats{
-		Seen:       fr.seen,
-		Admitted:   fr.admitted,
-		Evicted:    fr.evicted,
-		Retained:   fr.retainedLocked(),
-		Spans:      fr.spans,
-		SpanBudget: fr.spanBudget,
+		Seen:       tr.seen,
+		Admitted:   tr.admitted,
+		Evicted:    tr.evicted,
+		Retained:   int(tr.admitted - tr.evicted),
+		Spans:      tr.spans,
+		SpanBudget: tr.limits.spans,
 	}
 }

@@ -10,8 +10,9 @@ import (
 
 // finished builds a finished trace of the given op whose Duration is
 // (approximately, and at least) d, carrying nspans spans shaped by mutate.
-func finished(op string, d time.Duration, nspans int, mutate func(*Span)) *Trace {
-	t := &Trace{Op: op, Unit: "/u", Start: time.Now().Add(-d), ID: NewTraceID()}
+// A non-nil tracer retains it on Finish.
+func finished(tr *Tracer, op string, d time.Duration, nspans int, mutate func(*Span)) *Trace {
+	t := &Trace{Op: op, Unit: "/u", Start: time.Now().Add(-d), ID: NewTraceID(), tracer: tr}
 	for i := 0; i < nspans; i++ {
 		s := Span{Name: "meta.get", Target: "c0", Outcome: SpanOK}
 		if mutate != nil {
@@ -57,10 +58,10 @@ func TestTraceparent(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7", // missing flags
+		"00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7",    // missing flags
 		"ff-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01", // invalid version
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace-id
-		"00-0123-00f067aa0ba902b7-01", // short trace-id
+		"00-0123-00f067aa0ba902b7-01",                             // short trace-id
 	} {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", bad)
@@ -71,7 +72,7 @@ func TestTraceparent(t *testing.T) {
 // TestStartIDJoinsAndMints: StartID adopts the caller's identity, Start
 // mints a fresh one, and both join an existing trace instead of nesting.
 func TestStartIDJoinsAndMints(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	want, _ := ParseTraceID("0123456789abcdef0123456789abcdef")
 	ctx, outer := tr.StartID(context.Background(), "http.get", "/f", want)
 	if outer == nil || outer.ID != want {
@@ -89,7 +90,7 @@ func TestStartIDJoinsAndMints(t *testing.T) {
 // TestTraceSpanCap: a runaway trace stores at most maxTraceSpans spans and
 // counts the overflow instead.
 func TestTraceSpanCap(t *testing.T) {
-	tr := finished("read", time.Millisecond, maxTraceSpans+44, nil)
+	tr := finished(nil, "read", time.Millisecond, maxTraceSpans+44, nil)
 	if got := tr.SpanCount(); got != maxTraceSpans {
 		t.Fatalf("SpanCount = %d, want %d", got, maxTraceSpans)
 	}
@@ -101,16 +102,16 @@ func TestTraceSpanCap(t *testing.T) {
 // TestTraceFlags: error spans, breaker skips, view-change spans and
 // operation-level errors all flag the trace for flight retention.
 func TestTraceFlags(t *testing.T) {
-	if finished("read", 0, 1, nil).Flagged() {
+	if finished(nil, "read", 0, 1, nil).Flagged() {
 		t.Fatal("healthy trace flagged")
 	}
-	if !finished("read", 0, 1, func(s *Span) { s.Outcome = SpanError }).Flagged() {
+	if !finished(nil, "read", 0, 1, func(s *Span) { s.Outcome = SpanError }).Flagged() {
 		t.Fatal("error span did not flag")
 	}
-	if !finished("read", 0, 1, func(s *Span) { s.Outcome = SpanBreakerSkipped }).Flagged() {
+	if !finished(nil, "read", 0, 1, func(s *Span) { s.Outcome = SpanBreakerSkipped }).Flagged() {
 		t.Fatal("breaker skip did not flag")
 	}
-	vc := finished("read", 0, 1, func(s *Span) { s.ViewChange = true })
+	vc := finished(nil, "read", 0, 1, func(s *Span) { s.ViewChange = true })
 	if !vc.Flagged() || !vc.CrossedViewChange() {
 		t.Fatal("view-change span did not flag")
 	}
@@ -123,15 +124,18 @@ func TestTraceFlags(t *testing.T) {
 	}
 }
 
-// TestFlightSlowRetention: the recorder keeps the slowN slowest traces of a
+// errorSpan flags a trace.
+func errorSpan(s *Span) { s.Outcome = SpanError }
+
+// TestFlightSlowRetention: the store keeps the slow slowest traces of a
 // class, evicting the fastest exemplar when a slower one arrives, and
 // ignores traces faster than everything retained.
 func TestFlightSlowRetention(t *testing.T) {
-	fr := NewFlightRecorder(3, 4, 0)
+	tr := newTracer(retention{recent: 1, slow: 3, flagged: 4, spans: spanBudget})
 	for i := 1; i <= 6; i++ {
-		fr.Offer(finished("read", time.Duration(i)*50*time.Millisecond, 2, nil))
+		finished(tr, "read", time.Duration(i)*50*time.Millisecond, 2, nil)
 	}
-	slow := fr.Slowest("read")
+	slow := tr.Slowest("read")
 	if len(slow) != 3 {
 		t.Fatalf("retained %d slow traces, want 3", len(slow))
 	}
@@ -144,7 +148,9 @@ func TestFlightSlowRetention(t *testing.T) {
 	if slow[len(slow)-1].Duration() < 150*time.Millisecond {
 		t.Fatalf("fast trace retained: %v", slow[len(slow)-1].Duration())
 	}
-	st := fr.Stats()
+	// The one recent trace (the ~300ms one) is also a slow exemplar and
+	// is counted once.
+	st := tr.Stats()
 	if st.Seen != 6 || st.Retained != 3 || st.Evicted == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -153,83 +159,130 @@ func TestFlightSlowRetention(t *testing.T) {
 // TestFlightFlaggedRetention: flagged traces are retained regardless of
 // speed, FIFO-bounded per class, and reported newest first.
 func TestFlightFlaggedRetention(t *testing.T) {
-	fr := NewFlightRecorder(2, 3, 0)
+	tr := newTracer(retention{recent: 1, slow: 2, flagged: 3, spans: spanBudget})
 	for i := 0; i < 5; i++ {
-		tr := &Trace{Op: "write", Unit: fmt.Sprintf("/f%d", i), Start: time.Now(), ID: NewTraceID()}
-		tr.Record(Span{Name: "smr.invoke", Outcome: SpanError})
-		tr.Finish()
-		fr.Offer(tr)
+		_, trace := tr.Start(context.Background(), "write", fmt.Sprintf("/f%d", i))
+		trace.Record(Span{Name: "smr.invoke", Outcome: SpanError})
+		trace.Finish()
 	}
-	flagged := fr.Flagged("write")
+	flagged := tr.Flagged("write")
 	if len(flagged) != 3 {
 		t.Fatalf("retained %d flagged traces, want 3", len(flagged))
 	}
 	if flagged[0].Unit != "/f4" || flagged[2].Unit != "/f2" {
 		t.Fatalf("flagged order wrong: %s .. %s", flagged[0].Unit, flagged[2].Unit)
 	}
-	if len(fr.Slowest("write")) != 0 {
+	if len(tr.Slowest("write")) != 0 {
 		t.Fatal("flagged traces leaked into the slow list")
 	}
 }
 
-// TestFlightSpanBudget: the global span budget evicts the least interesting
-// exemplars — fastest slow traces before flagged ones — and never the last
-// retained trace.
+// TestFlightSpanBudget: the span budget evicts the least interesting
+// memberships — recent traces, then the fastest slow traces, before
+// flagged ones — and never the newest trace.
 func TestFlightSpanBudget(t *testing.T) {
-	fr := NewFlightRecorder(8, 8, 30)
+	tr := newTracer(retention{recent: 1, slow: 8, flagged: 8, spans: 30})
 	for i := 1; i <= 4; i++ {
-		fr.Offer(finished("read", time.Duration(i)*20*time.Millisecond, 9, nil)) // cost 10 each
+		finished(tr, "read", time.Duration(i)*20*time.Millisecond, 9, nil) // cost 10 each
 	}
-	if st := fr.Stats(); st.Spans > 30 {
+	if st := tr.Stats(); st.Spans > 30 {
 		t.Fatalf("budget exceeded: %+v", st)
 	}
-	if got := len(fr.Slowest("read")); got != 3 {
+	if got := len(tr.Slowest("read")); got != 3 {
 		t.Fatalf("retained %d slow traces under budget, want 3", got)
 	}
 	// A flagged arrival pushes out slow exemplars, not other flagged ones.
-	bad := finished("read", time.Millisecond, 9, func(s *Span) { s.Outcome = SpanError })
-	fr.Offer(bad)
-	if got := len(fr.Flagged("read")); got != 1 {
+	finished(tr, "read", time.Millisecond, 9, errorSpan)
+	if got := len(tr.Flagged("read")); got != 1 {
 		t.Fatalf("flagged trace not retained under budget pressure: %d", got)
 	}
-	if st := fr.Stats(); st.Spans > 30 {
+	if st := tr.Stats(); st.Spans > 30 {
 		t.Fatalf("budget exceeded after flagged admission: %+v", st)
 	}
-	// An oversized sole survivor is kept rather than evicted to nothing.
-	tiny := NewFlightRecorder(4, 4, 3)
-	tiny.Offer(finished("read", time.Millisecond, 20, nil))
-	if tiny.Stats().Retained != 1 {
+	// An oversized newest trace is kept rather than evicted to nothing.
+	tiny := newTracer(retention{recent: 4, slow: 4, flagged: 4, spans: 3})
+	finished(tiny, "read", time.Millisecond, 20, nil)
+	if tiny.Stats().Retained != 1 || len(tiny.Recent(0)) != 1 {
 		t.Fatal("sole oversized trace was evicted")
 	}
 }
 
-// TestFlightNilSafety: a nil recorder (flight disabled) no-ops everywhere.
-func TestFlightNilSafety(t *testing.T) {
-	var fr *FlightRecorder
-	fr.Offer(finished("read", time.Millisecond, 1, nil))
-	if fr.Classes() != nil || fr.Slowest("read") != nil || fr.Flagged("read") != nil {
-		t.Fatal("nil recorder returned data")
+// TestFlightOneBudgetAcrossClasses drives the default store with traces
+// that each carry maxTraceSpans spans, across several op classes, two of
+// them flagged early on. The one span budget holds after every admission,
+// Recent serves the newest traces in order, and the flagged traces outlive
+// hundreds of later healthy ones.
+func TestFlightOneBudgetAcrossClasses(t *testing.T) {
+	tr := NewTracer()
+	classes := []string{"read", "write", "stat", "readdir"}
+	var all, bad []*Trace
+	for i := 0; i < 400; i++ {
+		var mutate func(*Span)
+		if i == 5 || i == 17 {
+			mutate = errorSpan
+		}
+		x := finished(tr, classes[i%len(classes)], time.Duration(i%7)*time.Millisecond, maxTraceSpans, mutate)
+		if mutate != nil {
+			bad = append(bad, x)
+		}
+		all = append(all, x)
+		if st := tr.Stats(); st.Spans > st.SpanBudget {
+			t.Fatalf("after trace %d: %d spans retained, budget %d", i, st.Spans, st.SpanBudget)
+		}
 	}
-	if fr.Stats() != (FlightStats{}) {
-		t.Fatal("nil recorder has stats")
+
+	recent := tr.Recent(0)
+	if len(recent) < 16 {
+		t.Fatalf("only %d recent traces retained", len(recent))
+	}
+	for i, x := range recent {
+		if want := all[len(all)-1-i]; x != want {
+			t.Fatalf("Recent()[%d] is %s, want the %d-th newest trace %s", i, x.ID, i+1, want.ID)
+		}
+	}
+	if got := tr.Recent(3); len(got) != 3 || got[0] != all[len(all)-1] {
+		t.Fatalf("Recent(3) = %d traces, newest %v", len(got), got[0] == all[len(all)-1])
+	}
+
+	flagged := tr.Flagged("write") // i = 5 and 17 are both write ops
+	if len(flagged) != 2 || flagged[0] != bad[1] || flagged[1] != bad[0] {
+		t.Fatalf("flagged traces did not outlive the healthy ones: %d retained", len(flagged))
+	}
+	for _, class := range classes {
+		if n := len(tr.Slowest(class)); n != slowTraces {
+			t.Errorf("class %s keeps %d slow traces, want %d", class, n, slowTraces)
+		}
+	}
+	if st := tr.Stats(); st.Seen != 400 || st.Retained > recentTraces+len(classes)*(slowTraces+flaggedTraces) {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// TestTracerFeedsRecorder: traces finished through a tracer with a recorder
-// installed land in the recorder, including their flight classification.
+// TestFlightNilSafety: a nil tracer (tracing disabled) no-ops everywhere.
+func TestFlightNilSafety(t *testing.T) {
+	var tr *Tracer
+	finished(tr, "read", time.Millisecond, 1, nil)
+	if tr.Classes() != nil || tr.Slowest("read") != nil || tr.Flagged("read") != nil || tr.Recent(0) != nil {
+		t.Fatal("nil tracer returned data")
+	}
+	if tr.Stats() != (FlightStats{}) {
+		t.Fatal("nil tracer has stats")
+	}
+}
+
+// TestTracerFeedsRecorder: traces finished through a tracer land in its
+// store with their flight classification.
 func TestTracerFeedsRecorder(t *testing.T) {
-	tr := NewTracer(4)
-	fr := NewFlightRecorder(0, 0, 0)
-	tr.SetRecorder(fr)
+	tr := NewTracer()
 	_, a := tr.Start(context.Background(), "read", "/ok")
 	a.Finish()
 	_, b := tr.Start(context.Background(), "read", "/bad")
 	b.SetError(errors.New("backend down"))
 	b.Finish()
-	if got := fr.Stats().Retained; got != 2 {
-		t.Fatalf("recorder retained %d traces, want 2", got)
+	if got := tr.Stats().Retained; got != 2 {
+		t.Fatalf("store retained %d traces, want 2", got)
 	}
-	flagged := fr.Flagged("read")
+	flagged := tr.Flagged("read")
 	if len(flagged) != 1 || flagged[0].Unit != "/bad" {
 		t.Fatalf("flagged = %v", flagged)
 	}

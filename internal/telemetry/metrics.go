@@ -323,8 +323,8 @@ type HistogramSnapshot struct {
 	SumNanos int64              `json:"sum_nanos"`
 	Buckets  [histBuckets]int64 `json:"buckets"`
 	// Exemplars carries, per bucket, the compact trace ID of the latest
-	// traced observation (0 = none) — look the full trace up in the flight
-	// recorder or trace ring by its ID suffix.
+	// traced observation (0 = none) — look the full trace up in the
+	// Tracer's store by its ID suffix.
 	Exemplars [histBuckets]uint64 `json:"exemplars,omitempty"`
 }
 

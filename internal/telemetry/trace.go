@@ -128,12 +128,12 @@ const inlineSpans = 12
 // maxTraceSpans caps the spans one trace retains. Without a cap a single
 // trace can grow without bound — a metadata storm funnelling a thousand
 // sessions' batches through one gateway request would retain every span —
-// and the flight recorder's memory accounting would be meaningless. Spans
-// past the cap are counted (Dropped), not stored.
+// and the store's span budget would be meaningless. Spans past the cap are
+// counted (Dropped), not stored.
 const maxTraceSpans = 256
 
-// Flag bits summarizing what a trace's spans reported; the flight
-// recorder's retention test reads them without rescanning the spans.
+// Flag bits summarizing what a trace's spans reported; the Tracer's store
+// reads them to classify the trace without rescanning the spans.
 const (
 	flagError uint8 = 1 << iota
 	flagBreakerSkipped
@@ -169,12 +169,14 @@ type Trace struct {
 	flags   uint8
 	err     error
 	done    bool
+
+	holds uint8 // store classes retaining the trace; guarded by tracer.mu
 }
 
 // Record appends one attempt span. Records arriving after Finish — e.g. a
 // straggler goroutine that lost the quorum race and unwound late — are
 // dropped, so an exported trace never mutates and stragglers cannot leak
-// spans into the ring. Past maxTraceSpans the span is counted but not
+// spans into the store. Past maxTraceSpans the span is counted but not
 // stored (see Dropped), bounding the memory of one trace.
 func (t *Trace) Record(s Span) {
 	if t == nil {
@@ -206,8 +208,7 @@ func (t *Trace) Record(s Span) {
 // SetError records the operation-level error (the one the client saw, as
 // opposed to per-attempt span errors). Only the first non-nil error
 // sticks; errors arriving after Finish are dropped like late spans. An
-// errored trace is flight-recorder flagged even when no individual span
-// failed.
+// errored trace is flagged even when no individual span failed.
 func (t *Trace) SetError(err error) {
 	if t == nil || err == nil {
 		return
@@ -252,8 +253,8 @@ func (t *Trace) SpanCount() int {
 
 // Flagged reports whether the trace is fault evidence: an errored or
 // breaker-skipped attempt, a view-change-crossing invocation, or an
-// operation-level error. The flight recorder retains every flagged trace
-// regardless of how fast it was.
+// operation-level error. The Tracer's store retains flagged traces
+// regardless of how fast they were.
 func (t *Trace) Flagged() bool {
 	if t == nil {
 		return false
@@ -299,8 +300,8 @@ func (t *Trace) SetVerdict(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Finish seals the trace and hands it to its tracer's ring buffer and
-// event log. Idempotent; safe on nil.
+// Finish seals the trace and hands it to its tracer's store and event
+// log. Idempotent; safe on nil.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
@@ -367,25 +368,35 @@ func (t *Trace) Describe() []string {
 	return out
 }
 
-// Tracer owns a fixed ring buffer of completed traces and an optional
+// Tracer starts traces, retains the finished ones in one bounded store
+// (recent, slowest and flagged; see flight.go) and feeds an optional
 // structured event log. A nil *Tracer is disabled: Start returns the
 // context unchanged and a nil trace.
 type Tracer struct {
-	mu       sync.Mutex
-	ring     []*Trace
-	next     int
-	total    int64
-	handler  slog.Handler
-	recorder *FlightRecorder
+	mu      sync.Mutex
+	handler slog.Handler
+	limits  retention
+
+	recent  []*Trace // ring of the last limits.recent traces
+	head    int      // index of the oldest recent trace
+	nrecent int
+	classes map[string]*traceClass
+
+	spans                   int // spans retained right now, across all classes
+	seen, admitted, evicted int64
 }
 
-// NewTracer creates a tracer keeping the last capacity completed traces
-// (capacity <= 0 means 64).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 64
+// NewTracer creates a tracer with the default retention sizes.
+func NewTracer() *Tracer {
+	return newTracer(retention{recentTraces, slowTraces, flaggedTraces, spanBudget})
+}
+
+func newTracer(limits retention) *Tracer {
+	return &Tracer{
+		limits:  limits,
+		recent:  make([]*Trace, limits.recent),
+		classes: make(map[string]*traceClass),
 	}
-	return &Tracer{ring: make([]*Trace, capacity)}
 }
 
 // SetHandler installs a slog handler that receives one record per
@@ -401,24 +412,11 @@ func (tr *Tracer) SetHandler(h slog.Handler) {
 	tr.mu.Unlock()
 }
 
-// SetRecorder installs a flight recorder that is offered every finished
-// trace: where the ring keeps the most recent traces, the recorder keeps
-// the *exemplary* ones (slowest, errored, view-change-crossing). nil
-// disables it.
-func (tr *Tracer) SetRecorder(fr *FlightRecorder) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.recorder = fr
-	tr.mu.Unlock()
-}
-
 // Start begins a trace for one operation and returns a context carrying
 // it. When the context already carries a live trace — a chunk fetch inside
 // a streamed read, say — Start joins it instead: the inner phase's spans
 // land on the parent and the returned trace is nil (its Finish is a
-// no-op), so exactly one trace per client operation reaches the ring.
+// no-op), so exactly one trace per client operation reaches the store.
 func (tr *Tracer) Start(ctx context.Context, op, unit string) (context.Context, *Trace) {
 	return tr.StartID(ctx, op, unit, TraceID{})
 }
@@ -440,17 +438,12 @@ func (tr *Tracer) StartID(ctx context.Context, op, unit string, id TraceID) (con
 	return context.WithValue(ctx, traceKey{}, t), t
 }
 
-// record files a finished trace into the ring, the flight recorder and the
-// event log.
+// record files a finished trace into the store and the event log.
 func (tr *Tracer) record(t *Trace) {
 	tr.mu.Lock()
-	tr.ring[tr.next] = t
-	tr.next = (tr.next + 1) % len(tr.ring)
-	tr.total++
+	tr.retainLocked(t)
 	h := tr.handler
-	fr := tr.recorder
 	tr.mu.Unlock()
-	fr.Offer(t)
 	if h == nil {
 		return
 	}
@@ -467,38 +460,4 @@ func (tr *Tracer) record(t *Trace) {
 	// ctx only for handler-internal values, and no caller remains to cancel.
 	//scfslint:ignore ctxdiscipline post-completion log emission has no caller context
 	_ = h.Handle(context.Background(), rec)
-}
-
-// Recent returns up to n completed traces, newest first (n <= 0 means
-// all). Nil-safe.
-func (tr *Tracer) Recent(n int) []*Trace {
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	size := len(tr.ring)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]*Trace, 0, n)
-	for i := 1; i <= size && len(out) < n; i++ {
-		t := tr.ring[(tr.next-i+size)%size]
-		if t == nil {
-			break
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// Total returns how many traces have completed over the tracer's lifetime
-// (including ones the ring has since evicted).
-func (tr *Tracer) Total() int64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.total
 }

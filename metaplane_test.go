@@ -103,6 +103,36 @@ func TestPipelinedReplicatedMount(t *testing.T) {
 	}
 }
 
+// TestMaxInflightZeroMountsReplicatedShards: WithMaxInflight(n) for n <= 0
+// mounts BFT-replicated shards with the default window, as documented; only
+// a mount without the option runs on the local, unreplicated DepSpace. A
+// replicated shard shows up as smr.invoke spans on the mount's traces.
+func TestMaxInflightZeroMountsReplicatedShards(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		opts       []scfs.Option
+		replicated bool
+	}{
+		{"unset", nil, false},
+		{"zero", []scfs.Option{scfs.WithMaxInflight(0)}, true},
+		{"negative", []scfs.Option{scfs.WithMaxInflight(-1)}, true},
+	} {
+		m := mount(t, append(c.opts, scfs.WithTracing())...)
+		if err := m.Mkdir(bg, "/d"); err != nil {
+			t.Fatal(err)
+		}
+		replicated := false
+		for _, tr := range m.Traces(0) {
+			for _, s := range tr.Spans() {
+				replicated = replicated || s.Name == "smr.invoke"
+			}
+		}
+		if replicated != c.replicated {
+			t.Errorf("%s: replicated coordination = %v, want %v", c.name, replicated, c.replicated)
+		}
+	}
+}
+
 // TestCoordTelemetryCounters: with metrics on, every coordination access is
 // exported as coord_ops_total{backend,op} and surfaces in Stats().Telemetry.
 func TestCoordTelemetryCounters(t *testing.T) {

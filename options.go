@@ -66,8 +66,6 @@ type config struct {
 
 	metrics   bool
 	tracing   bool
-	traceCap  int
-	flight    bool
 	eventLog  slog.Handler
 	debugAddr string
 	debugSet  bool
@@ -129,7 +127,15 @@ func WithCoordShards(n int) Option { return func(c *config) { c.coordShards = n 
 // (smr.DefaultMaxInflight, 64); window == 1 serializes, reproducing the
 // pre-pipelining behavior. Applies to the default coordination stack, like
 // WithCoordShards.
-func WithMaxInflight(window int) Option { return func(c *config) { c.maxInflight = window } }
+func WithMaxInflight(window int) Option {
+	return func(c *config) {
+		// c.maxInflight == 0 means the option is unset (local DepSpace).
+		if window <= 0 {
+			window = smr.DefaultMaxInflight
+		}
+		c.maxInflight = window
+	}
+}
 
 // WithGC configures the multi-version garbage collector.
 func WithGC(policy GCPolicy) Option { return func(c *config) { c.gc = policy } }
@@ -206,30 +212,18 @@ func WithMetrics() Option { return func(c *config) { c.metrics = true } }
 // (read, write, open, delete) gets a trace recording one span per per-cloud
 // RPC of its quorum fan-outs — which clouds were contacted, which were
 // hedged, which answered, which were cancelled as losers — plus the quorum
-// verdict latency. The last capacity completed traces are kept in a ring
-// (capacity <= 0 keeps 64); read them with FS.Traces.
-func WithTracing(capacity int) Option {
-	return func(c *config) { c.tracing, c.traceCap = true, capacity }
-}
-
-// WithFlightRecorder keeps exemplar traces past the tracer's recency ring:
-// the slowest traces of every operation class plus every errored,
-// breaker-skipped or view-change-crossing operation, within a bounded span
-// budget — so when a tail-latency spike is noticed minutes later, the traces
-// explaining it are still there. Latency histograms gain exemplar trace IDs
-// linking their tail buckets to the retained traces. Implies WithTracing;
-// read it back with FS.FlightRecorder, or over HTTP via /debug/slow and
-// /debug/flight on mounts that also use WithDebugServer.
-func WithFlightRecorder() Option {
-	return func(c *config) {
-		c.flight = true
-		c.tracing = true
-	}
-}
+// verdict latency. Finished traces are kept in one bounded store: the most
+// recent ones (FS.Traces), the slowest of every operation class, and every
+// errored, breaker-skipped or view-change-crossing operation
+// (FS.Tracer().Slowest / Flagged), so when a tail-latency spike is noticed
+// minutes later the traces explaining it are still there. Latency
+// histograms gain exemplar trace IDs linking their tail buckets to the
+// retained traces.
+func WithTracing() Option { return func(c *config) { c.tracing = true } }
 
 // WithEventLog streams one structured record per completed operation trace
 // to the given slog handler (op, unit, duration, verdict latency, spans).
-// Implies WithTracing if no capacity was set.
+// Implies WithTracing.
 func WithEventLog(h slog.Handler) Option {
 	return func(c *config) {
 		c.eventLog = h
@@ -240,16 +234,15 @@ func WithEventLog(h slog.Handler) Option {
 // WithDebugServer serves the mount's runtime introspection over HTTP on
 // addr (use ":0" for an ephemeral port, read it back with FS.DebugAddr):
 // GET /metrics in Prometheus text format, /debug/stats as JSON,
-// /debug/traces as recent operation traces, /debug/slow and /debug/flight
-// as the flight recorder's retained exemplars, and the net/http/pprof
-// profiles under /debug/pprof/. Implies WithMetrics, WithTracing and
-// WithFlightRecorder. The server is shut down by Close/Unmount.
+// /debug/traces, /debug/slow and /debug/flight as the tracer's recent,
+// slowest and flagged traces, and the net/http/pprof profiles under
+// /debug/pprof/. Implies WithMetrics and WithTracing. The server is shut
+// down by Close/Unmount.
 func WithDebugServer(addr string) Option {
 	return func(c *config) {
 		c.debugAddr, c.debugSet = addr, true
 		c.metrics = true
 		c.tracing = true
-		c.flight = true
 	}
 }
 
@@ -258,7 +251,6 @@ func WithDebugServer(addr string) Option {
 type mountTelemetry struct {
 	metrics *telemetry.Registry
 	tracer  *telemetry.Tracer
-	flight  *telemetry.FlightRecorder
 }
 
 // build assembles the provider, coordination and storage stack and mounts
@@ -271,13 +263,9 @@ func (c *config) build(ctx context.Context) (*core.Agent, mountTelemetry, func()
 		tel.metrics = telemetry.NewRegistry()
 	}
 	if c.tracing {
-		tel.tracer = telemetry.NewTracer(c.traceCap)
+		tel.tracer = telemetry.NewTracer()
 		if c.eventLog != nil {
 			tel.tracer.SetHandler(c.eventLog)
-		}
-		if c.flight {
-			tel.flight = telemetry.NewFlightRecorder(0, 0, 0)
-			tel.tracer.SetRecorder(tel.flight)
 		}
 	}
 	if c.f < 1 {
@@ -465,9 +453,7 @@ func replicatedCoordShard(user string, shard, window int) (coord.Service, func()
 		replicas = append(replicas, r)
 	}
 	cli := smr.NewClient(fmt.Sprintf("%s-coord-%d", user, shard), cfg, net)
-	if window > 0 {
-		cli.MaxInflight = window
-	}
+	cli.MaxInflight = window
 	svc := coord.NewDepSpaceService(depspace.NewClient(smr.NewCoalescer(cli), user, nil))
 	return svc, func() { cli.Close(); stop() }, nil
 }

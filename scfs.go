@@ -94,10 +94,7 @@ type (
 	// Tracer is the mount's request tracer (see WithTracing and
 	// FS.Tracer); the gateway package accepts one via gateway.WithTracer.
 	Tracer = telemetry.Tracer
-	// FlightRecorder retains exemplar traces — the slow tail and every
-	// faulted operation (see WithFlightRecorder and FS.FlightRecorder).
-	FlightRecorder = telemetry.FlightRecorder
-	// FlightStats summarizes a FlightRecorder's retention activity.
+	// FlightStats summarizes a Tracer's retention activity (Tracer.Stats).
 	FlightStats = telemetry.FlightStats
 )
 
@@ -161,7 +158,6 @@ type FS struct {
 	agent   *core.Agent
 	metrics *telemetry.Registry
 	tracer  *telemetry.Tracer
-	flight  *telemetry.FlightRecorder
 	debug   *debugServer
 	cleanup func() // stops build-owned resources (coordination replica groups)
 }
@@ -183,7 +179,7 @@ func New(ctx context.Context, opts ...Option) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &FS{agent: agent, metrics: tel.metrics, tracer: tel.tracer, flight: tel.flight, cleanup: cleanup}
+	m := &FS{agent: agent, metrics: tel.metrics, tracer: tel.tracer, cleanup: cleanup}
 	if cfg.debugSet {
 		dbg, err := startDebugServer(cfg.debugAddr, m)
 		if err != nil {
@@ -210,21 +206,17 @@ func (m *FS) Agent() *core.Agent { return m.agent }
 func (m *FS) Stats() Stats { return m.agent.Stats() }
 
 // Traces returns up to n recently completed operation traces, newest first
-// (n <= 0 returns the whole ring). Empty unless the mount was built
-// WithTracing (or WithDebugServer).
+// (n <= 0 returns every retained one). Empty unless the mount was built
+// WithTracing (or WithEventLog or WithDebugServer).
 func (m *FS) Traces(n int) []*Trace { return m.tracer.Recent(n) }
 
 // Tracer returns the mount's request tracer, or nil unless the mount was
-// built WithTracing (or WithDebugServer) — hand it to gateway.WithTracer
-// so HTTP requests join the mount's traces.
+// built WithTracing (or WithEventLog or WithDebugServer). Beside the recent
+// traces it retains the most *exemplary* ones — the slowest of each
+// operation class and everything that erred, hit an open breaker, or
+// crossed a view change (Tracer.Slowest, Tracer.Flagged). Hand it to
+// gateway.WithTracer so HTTP requests join the mount's traces.
 func (m *FS) Tracer() *Tracer { return m.tracer }
-
-// FlightRecorder returns the mount's flight recorder, or nil unless the
-// mount was built WithFlightRecorder (or WithDebugServer). Where Traces
-// holds the most *recent* operations, the recorder holds the most
-// *exemplary* ones: the slowest of each operation class and everything
-// that erred, hit an open breaker, or crossed a view change.
-func (m *FS) FlightRecorder() *FlightRecorder { return m.flight }
 
 // traced starts a facade-level trace for one metadata operation. An
 // operation arriving with a trace already on its context — a gateway

@@ -53,7 +53,7 @@ func TestStatsTelemetry(t *testing.T) {
 	svc := sharedCoord()
 	common := []scfs.Option{
 		scfs.WithClouds(stores...), scfs.WithCoordination(svc),
-		scfs.WithMetrics(), scfs.WithTracing(16),
+		scfs.WithMetrics(), scfs.WithTracing(),
 	}
 	writer := mount(t, common...)
 	reader := mount(t, common...)
@@ -178,7 +178,8 @@ func TestEventLog(t *testing.T) {
 }
 
 // TestDebugServer: the introspection endpoint serves Prometheus metrics,
-// JSON stats, traces and pprof, and dies with the mount.
+// JSON stats, recent, slowest and flagged traces, and pprof, and dies with
+// the mount.
 func TestDebugServer(t *testing.T) {
 	m := namedMount(t, scfs.WithDebugServer("127.0.0.1:0"))
 	addr := m.DebugAddr()
@@ -220,8 +221,25 @@ func TestDebugServer(t *testing.T) {
 	if len(stats.Telemetry.Counters) == 0 {
 		t.Error("/debug/stats has no telemetry counters")
 	}
-	if body := get("/debug/traces"); !strings.Contains(body, "write") {
-		t.Errorf("/debug/traces missing the write trace:\n%.500s", body)
+	// The write's trace is recent, the slowest of its class, and so
+	// printed by all three trace endpoints, which read the one store.
+	var write *scfs.Trace
+	for _, tr := range m.Traces(0) {
+		if tr.Op == "write" {
+			write = tr
+			break
+		}
+	}
+	if write == nil {
+		t.Fatal("no write trace retained")
+	}
+	if write.Flagged() {
+		t.Errorf("a healthy first write is flagged as fault evidence:\n%v", write.Describe())
+	}
+	for _, path := range []string{"/debug/traces", "/debug/slow", "/debug/flight"} {
+		if body := get(path); !strings.Contains(body, write.ID.String()+" write ") {
+			t.Errorf("%s missing the write trace %s:\n%.500s", path, write.ID, body)
+		}
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ index looks wrong:\n%.200s", body)
